@@ -114,9 +114,8 @@ void probe_bus(const rrb::MachineConfig& config, SpanLog& spans) {
 
 void probe_cache(const rrb::MachineConfig& config, SpanLog& spans) {
     // One core's L2 partition, as the machine builds it.
-    rrb::CacheGeometry g = config.l2_geometry;
-    g.size_bytes /= config.num_cores;
-    g.ways /= config.num_cores;
+    const rrb::CacheGeometry g =
+        rrb::Machine(config).l2().partition_geometry();
     rrb::Cache cache(g, config.l2_replacement, config.l2_write_policy,
                      config.l2_alloc_policy);
     // Addresses over twice the partition: a mix of hits and misses;
@@ -179,8 +178,10 @@ void probe_dram(const rrb::MachineConfig& config, SpanLog& spans) {
 
 /// Decodes every script the workload's campaigns decode (one per
 /// distinct program and config, as replay::prepare_scripts shares
-/// them), inside one span per repetition.
+/// them), inside one span per repetition. Armed machines never decode,
+/// so neither does the probe on an armed workload.
 void probe_decode(const Workload& w, SpanLog& spans) {
+    if (w.armed()) return;
     struct Job {
         rrb::Program program;
         rrb::CoreConfig core;
@@ -329,12 +330,13 @@ void probe_fold(SpanLog& spans) {
     }
 }
 
-/// Encodes, decodes, fits and saves the workload's checkpoints; each
-/// span covers a loop of calls long enough to time reliably. Returns
-/// the mean encoded size in bytes.
-double probe_checkpoints(Workload& w, SpanLog& spans,
+/// Encodes, decodes, fits and saves the checkpoints the workload's units
+/// wrote (none, except on batch-grid); each span covers a loop of calls
+/// long enough to time reliably. Returns the mean encoded size in
+/// bytes.
+double probe_checkpoints(const Workload& w, SpanLog& spans,
                          const std::string& probe_dir) {
-    const std::vector<std::string> paths = w.checkpoint_paths(spans);
+    const std::vector<std::string> paths = w.checkpoint_paths();
     std::vector<rrb::PwcetCheckpoint> ckpts;
     std::vector<rrb::PwcetAccumulator> merged;
     double bytes = 0.0;
@@ -430,7 +432,7 @@ void measure_layers(Workload& w, const TracedPhase& phase, SpanLog& spans,
     out.push_back({"replay.decode_us",
                    us(median(spans.per_item("replay.decode_program"))), "us"});
     out.push_back({"replay.decodes",
-                   static_cast<double>(phase.setup_decodes), "count"});
+                   static_cast<double>(phase.cold_decodes), "count"});
     out.push_back({"replay.run_frac",
                    ratio(static_cast<double>(k[obs::kReplayRuns]), runs),
                    "frac"});

@@ -5,8 +5,10 @@
 //             [--record-reference]
 //
 // Phases: timed units of the workload for S seconds, with cold set-ups
-// spread evenly over the same span (the fastest is setup_s), then the
-// correctness checks.
+// spread evenly over the same span, or one before every unit on a
+// workload that needs it (the fastest is setup_s), then the correctness
+// checks. Units and set-ups are timed in critical-path CPU time
+// (CpuPath), so vCPUs taken by other processes do not count.
 // With --trace 1 the timed units alternate between untraced and traced
 // (the library's telemetry on), so both halves see the same host
 // conditions; the isolated layer probes follow, and the per-layer
@@ -16,11 +18,14 @@
 // timings), then, last, the result line
 //   {"correct": .., "attempted": .., "failed": .., "metrics": {..}}
 // Exit 0 when the run completed (correct or not); 1 on bad usage.
+#include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -49,10 +54,60 @@ std::uint64_t SpanLog::open(std::string name, std::uint64_t items) {
     return records_.size();
 }
 
-void SpanLog::close(std::uint64_t handle) {
-    records_[handle - 1].end_s =
-        std::chrono::duration<double>(Clock::now() - epoch_).count();
+double SpanLog::close(std::uint64_t handle) {
+    SpanRecord& r = records_[handle - 1];
+    r.end_s = std::chrono::duration<double>(Clock::now() - epoch_).count();
     if (!open_.empty() && open_.back() == handle) open_.pop_back();
+    return r.end_s - r.begin_s;
+}
+
+namespace {
+
+double thread_cpu_seconds() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// CPU seconds run so far by each thread of this process other than the
+/// caller, by thread id (first field of /proc/self/task/<tid>/schedstat).
+std::map<long, double> other_threads_cpu_seconds() {
+    std::map<long, double> out;
+    DIR* dir = opendir("/proc/self/task");
+    if (dir == nullptr) return out;
+    const long self = gettid();
+    while (const dirent* e = readdir(dir)) {
+        const long tid = std::strtol(e->d_name, nullptr, 10);
+        if (tid <= 0 || tid == self) continue;
+        std::ifstream in("/proc/self/task/" + std::string(e->d_name) +
+                         "/schedstat");
+        double ns = 0.0;
+        if (in >> ns) out[tid] = 1e-9 * ns;
+    }
+    closedir(dir);
+    return out;
+}
+
+}  // namespace
+
+// The calling thread's clock is read last on the way in and first on
+// the way out, so the /proc reads stay outside its interval.
+CpuPath::CpuPath()
+    : others_start_(other_threads_cpu_seconds()),
+      self_start_(thread_cpu_seconds()) {}
+
+double CpuPath::stop() const {
+    const double self = thread_cpu_seconds() - self_start_;
+    // A thread that started inside the interval (a new pool's worker)
+    // ran all its CPU time there.
+    double busiest = 0.0;
+    for (const auto& [tid, cpu] : other_threads_cpu_seconds()) {
+        const auto it = others_start_.find(tid);
+        busiest = std::max(
+            busiest, cpu - (it == others_start_.end() ? 0.0 : it->second));
+    }
+    return self + busiest;
 }
 
 std::vector<double> SpanLog::per_item(const std::string& name) const {
@@ -86,8 +141,9 @@ void SpanLog::write_json(const std::string& path) const {
 
 namespace {
 
-// Cold set-ups per run; setup_s is the fastest, for the reason
-// runs_per_s is the fastest unit's rate (see runs_per_s).
+// Cold set-ups per run of a workload whose units share a set-up;
+// setup_s is the fastest, for the reason runs_per_s is the fastest
+// unit's rate (see runs_per_s).
 constexpr std::size_t kSetups = 25;
 // Interpreter re-runs per scenario in the post-timing check.
 constexpr std::size_t kInterpreterSamples = 48;
@@ -207,7 +263,8 @@ struct Phase {
 /// span has passed, so set-ups and units sample the same host
 /// conditions instead of the set-ups bunching into one burst of
 /// co-tenant load. The first set-up precedes the first unit; each unit
-/// runs on the session of the latest set-up. With `alternate_trace`,
+/// runs on the session of the latest set-up. A workload that needs a
+/// set-up per unit gets one before every unit. With `alternate_trace`,
 /// every second unit runs with the library's telemetry enabled. Each
 /// unit's digest is compared with `expected` right away and dropped,
 /// so the process's memory does not grow with the unit count; when
@@ -219,17 +276,18 @@ Phase timed_phase(Workload& w, double seconds, bool alternate_trace,
     rrb::obs::TelemetryRegistry& telemetry =
         rrb::obs::TelemetryRegistry::instance();
     Phase p;
+    const bool per_unit = w.setup_per_unit();
     const Clock::time_point start = Clock::now();
     while (p.units.size() < 3 || seconds_since(start) < seconds ||
-           p.setups.size() < kSetups) {
-        if (p.setups.size() < kSetups &&
-            seconds_since(start) >=
-                seconds * static_cast<double>(p.setups.size()) / kSetups) {
+           (!per_unit && p.setups.size() < kSetups)) {
+        if (per_unit ||
+            (p.setups.size() < kSetups &&
+             seconds_since(start) >=
+                 seconds * static_cast<double>(p.setups.size()) / kSetups)) {
             const Timed span(spans, "setup");
-            const Clock::time_point begin = Clock::now();
+            const CpuPath cpu;
             w.setup();
-            p.setups.push_back(seconds_since(begin));
-            continue;
+            p.setups.push_back(cpu.stop());
         }
         const bool traced = alternate_trace && p.units.size() % 2 == 1;
         if (traced) telemetry.enable();
@@ -257,7 +315,10 @@ Phase timed_phase(Workload& w, double seconds, bool alternate_trace,
 /// fastest unit (q = 1; the record line adds the median, q = 0.5). On a
 /// shared host, co-tenant load only ever slows a unit down, in bursts
 /// that come and go; the best of many short units measures the program,
-/// their median measures the neighbours (NOTES.md, "Host noise").
+/// their median measures the neighbours (NOTES.md, "Host noise"). The
+/// CPU time of a unit's critical path already leaves out the time its
+/// threads waited for a vCPU; the best unit also sees past the bursts
+/// that slow the vCPU itself.
 double runs_per_s(const Phase& p, bool traced = false, double q = 1.0) {
     std::vector<double> rates;
     for (std::size_t i = 0; i < p.units.size(); ++i) {
@@ -281,12 +342,13 @@ int run(const Args& args) {
     TracedPhase traced;
     traced.probe_dir = args.scratch;
     if (args.trace) {
-        // Scripts decoded by one cold set-up, counted by the library
-        // (kept out of setup_s).
+        // Scripts decoded by one cold set-up and the unit after it,
+        // counted by the library (kept out of the timed phase).
         telemetry.reset();
         telemetry.enable();
         w->setup();
-        traced.setup_decodes = telemetry.counters()[rrb::obs::kReplayDecodes];
+        (void)w->run_unit(spans);
+        traced.cold_decodes = telemetry.counters()[rrb::obs::kReplayDecodes];
         telemetry.disable();
         telemetry.reset();
     }
@@ -310,7 +372,7 @@ int run(const Args& args) {
         traced.traced_runs_per_s = runs_per_s(phase, true);
         for (std::size_t i = 0; i < phase.units.size(); ++i) {
             if (!phase.traced[i]) continue;
-            traced.traced_wall_s += phase.units[i].seconds;
+            traced.traced_wall_s += phase.units[i].wall_seconds;
             ++traced.traced_units;
         }
     }
@@ -382,7 +444,12 @@ int run(const Args& args) {
 
     // Record line: the run's identity and host facts beside every metric.
     std::ostringstream unit_s;
+    double best_wall_rate = 0.0;  // lower than runs_per_s when vCPUs were taken
     for (const Unit& u : phase.units) {
+        if (u.wall_seconds > 0.0) {
+            best_wall_rate = std::max(
+                best_wall_rate, static_cast<double>(u.runs) / u.wall_seconds);
+        }
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%s%.6f",
                       unit_s.tellp() == 0 ? "" : ", ", u.seconds);
@@ -398,6 +465,7 @@ int run(const Args& args) {
               << "\", \"commit\": \"" << json_escape(args.commit)
               << "\", \"jobs\": " << w->jobs()
               << ", \"median_runs_per_s\": " << runs_per_s(phase, false, 0.5)
+              << ", \"best_wall_runs_per_s\": " << best_wall_rate
               << ", \"setup_s\": [";
     for (std::size_t i = 0; i < phase.setups.size(); ++i) {
         char buf[32];

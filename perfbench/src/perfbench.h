@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,8 +41,9 @@ class SpanLog {
 public:
     /// Opens a span under the innermost open one; returns its handle.
     std::uint64_t open(std::string name, std::uint64_t items = 0);
-    /// Closes the span `handle` (as returned by open).
-    void close(std::uint64_t handle);
+    /// Closes the span `handle` (as returned by open); returns its
+    /// duration in seconds.
+    double close(std::uint64_t handle);
     /// Per-item durations (seconds / items) of every span named `name`.
     [[nodiscard]] std::vector<double> per_item(const std::string& name) const;
     void write_json(const std::string& path) const;
@@ -57,19 +59,49 @@ class Timed {
 public:
     Timed(SpanLog& log, std::string name, std::uint64_t items = 0)
         : log_(log), handle_(log.open(std::move(name), items)) {}
-    ~Timed() { log_.close(handle_); }
+    ~Timed() { stop(); }
     Timed(const Timed&) = delete;
     Timed& operator=(const Timed&) = delete;
+
+    /// Closes the span now (the destructor then does nothing); returns
+    /// its duration in seconds.
+    double stop() {
+        if (seconds_ < 0.0) seconds_ = log_.close(handle_);
+        return seconds_;
+    }
 
 private:
     SpanLog& log_;
     std::uint64_t handle_;
+    double seconds_ = -1.0;
+};
+
+/// CPU time on the critical path of the work done between construction
+/// and stop(): the calling thread's CPU time plus that of the busiest
+/// other thread of the process (a pool worker). A thread waiting for a
+/// vCPU, in the guest's run queue or stolen by the hypervisor, runs no
+/// CPU time, so co-tenant processes that take vCPUs away do not count;
+/// work done, and work left unbalanced between workers, does. Time
+/// blocked on I/O does not count either, so I/O is timed in wall time.
+class CpuPath {
+public:
+    CpuPath();
+    /// Critical-path CPU seconds since construction.
+    [[nodiscard]] double stop() const;
+
+private:
+    std::map<long, double> others_start_;  ///< CPU seconds by thread id
+    double self_start_;
 };
 
 /// One timed unit of a workload: a campaign (or, for batch-grid, one
 /// whole batch with its checkpoint round trip).
 struct Unit {
-    double seconds = 0.0;      ///< timed part only
+    /// Time the unit's rate is read from: its critical-path CPU time
+    /// (CpuPath), plus, for batch-grid, the wall time of its checkpoint
+    /// I/O.
+    double seconds = 0.0;
+    double wall_seconds = 0.0;  ///< wall time of the timed part
     std::uint64_t runs = 0;    ///< campaign runs completed
     /// Exact outputs ("key value" lines, doubles as bit patterns),
     /// compared against the reference or the first unit as soon as the
@@ -93,10 +125,14 @@ public:
     [[nodiscard]] virtual const char* name() const = 0;
     /// Worker budget of the workload's Session.
     [[nodiscard]] virtual std::size_t jobs() const = 0;
-    /// Cold set-up: a fresh Session and pool, the scenarios built and
-    /// validated, and a warm-up campaign that decodes scripts and builds
-    /// leases. Every call starts from cold caches.
+    /// Cold set-up: a fresh Session, the scenarios built and validated,
+    /// and (except for batch-grid) a warm-up campaign that builds the
+    /// pool, decodes scripts and builds leases. Every call starts from
+    /// cold caches.
     virtual void setup() = 0;
+    /// True when every unit needs a set-up of its own (its unit uses up
+    /// the set-up's session so that it starts cold).
+    [[nodiscard]] virtual bool setup_per_unit() const { return false; }
     /// One timed unit on the set-up session.
     virtual Unit run_unit(SpanLog& spans) = 0;
     /// The scenarios whose runs the correctness checks and the layer
@@ -108,9 +144,11 @@ public:
     /// True when campaign runs execute with the attribution profiler
     /// armed (and therefore on the interpreter).
     [[nodiscard]] virtual bool armed() const { return false; }
-    /// A written pWCET checkpoint per scenario family, for the stats
-    /// layer probes: produced on demand (may run a campaign).
-    virtual std::vector<std::string> checkpoint_paths(SpanLog& spans) = 0;
+    /// The pWCET checkpoints the workload's units wrote, for the stats
+    /// layer probes; none for the workloads that write none.
+    [[nodiscard]] virtual std::vector<std::string> checkpoint_paths() const {
+        return {};
+    }
 };
 
 /// Builds workload `name` from the benchmark seed. `scratch_dir` holds
@@ -138,9 +176,10 @@ struct Metric {
 struct TracedPhase {
     double untraced_runs_per_s = 0.0;
     double traced_runs_per_s = 0.0;
-    double traced_wall_s = 0.0;  ///< summed time of the traced units
+    double traced_wall_s = 0.0;  ///< summed wall time of the traced units
     std::uint64_t traced_units = 0;
-    std::uint64_t setup_decodes = 0;  ///< scripts decoded by one cold set-up
+    /// Scripts decoded by one cold set-up and the unit that follows it.
+    std::uint64_t cold_decodes = 0;
     std::string probe_dir;  ///< where the checkpoint-save probe writes
 };
 

@@ -23,17 +23,18 @@ namespace {
 using rrb::OpKind;
 using rrb::Scenario;
 
-// Campaign sizes. A timed unit lasts about 25 ms (50 ms for a batch)
-// on the reference host (see NOTES.md), so a run collects several
-// hundred units; runs_per_s is read at the fast end of their
+// Campaign sizes. A timed unit lasts about 25 ms (about 100 ms for a
+// batch) on the reference host (see NOTES.md), so a run collects
+// hundreds of units; runs_per_s is read at the fast end of their
 // distribution (main.cpp), and co-tenant slowdowns come in bursts that
 // only short units see past.
 constexpr std::size_t kLoadRuns = 1'000;
 constexpr std::size_t kStoreRuns = 250;
 constexpr std::size_t kAttributionRuns = 250;
 constexpr std::size_t kGridRuns = 100;  ///< per batch-grid scenario
-/// Warm-up campaign of a set-up: enough runs to decode every script and
-/// fill every lease, small enough that set-up stays a one-off cost.
+/// Warm-up campaign of a jobs-1 set-up: enough runs to decode every
+/// script and fill every lease, small enough that set-up stays a
+/// one-off cost.
 constexpr std::size_t kWarmRuns = 100;
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -96,9 +97,8 @@ void drop_caches() { rrb::engine::MachineLease::drop_thread_cache(); }
 class PwcetWorkload final : public Workload {
 public:
     PwcetWorkload(const char* name, OpKind access, std::size_t runs,
-                  std::uint64_t seed, std::string scratch_dir)
+                  std::uint64_t seed)
         : name_(name),
-          scratch_dir_(std::move(scratch_dir)),
           scenarios_{campaign_scenario(rrb::MachineConfig::ngmp_ref(),
                                        access, runs,
                                        campaign_seed(seed, 0))} {}
@@ -120,13 +120,12 @@ public:
     Unit run_unit(SpanLog& spans) override {
         Unit u;
         const std::size_t runs = scenarios_[0].run_protocol().runs;
-        rrb::PwcetCampaignResult r;
-        const Clock::time_point start = Clock::now();
-        {
-            const Timed span(spans, "session.pwcet", runs);
-            r = session_->pwcet(scenarios_[0], spec_);
-        }
-        u.seconds = seconds_since(start);
+        Timed span(spans, "session.pwcet", runs);
+        const CpuPath cpu;
+        const rrb::PwcetCampaignResult r =
+            session_->pwcet(scenarios_[0], spec_);
+        u.seconds = cpu.stop();
+        u.wall_seconds = span.stop();
         u.runs = r.runs;
         pwcet_digest(r, u.digest);
         if (r.runs != runs) u.problems.push_back("campaign ran short");
@@ -140,18 +139,8 @@ public:
     }
     std::vector<Bounds> bounds() const override { return bounds_; }
 
-    std::vector<std::string> checkpoint_paths(SpanLog& spans) override {
-        const std::string path =
-            scratch_dir_ + "/" + std::string(name_) + ".ckpt";
-        const Timed span(spans, "session.checkpoint",
-                         scenarios_[0].run_protocol().runs);
-        (void)session_->checkpoint(scenarios_[0], spec_, {}, path);
-        return {path};
-    }
-
 private:
     const char* name_;
-    std::string scratch_dir_;
     std::vector<Scenario> scenarios_;
     rrb::PwcetSpec spec_;
     std::unique_ptr<rrb::Session> session_;
@@ -162,9 +151,8 @@ private:
 
 class AttributionWorkload final : public Workload {
 public:
-    AttributionWorkload(std::uint64_t seed, std::string scratch_dir)
-        : scratch_dir_(std::move(scratch_dir)),
-          scenarios_{campaign_scenario(rrb::MachineConfig::ngmp_ref(),
+    explicit AttributionWorkload(std::uint64_t seed)
+        : scenarios_{campaign_scenario(rrb::MachineConfig::ngmp_ref(),
                                        OpKind::kLoad, kAttributionRuns,
                                        campaign_seed(seed, 0))} {}
 
@@ -186,13 +174,12 @@ public:
     Unit run_unit(SpanLog& spans) override {
         Unit u;
         const std::size_t runs = scenarios_[0].run_protocol().runs;
-        rrb::engine::AttributionCampaignResult r;
-        const Clock::time_point start = Clock::now();
-        {
-            const Timed span(spans, "session.attribution", runs);
-            r = session_->attribution(scenarios_[0]);
-        }
-        u.seconds = seconds_since(start);
+        Timed span(spans, "session.attribution", runs);
+        const CpuPath cpu;
+        const rrb::engine::AttributionCampaignResult r =
+            session_->attribution(scenarios_[0]);
+        u.seconds = cpu.stop();
+        u.wall_seconds = span.stop();
         const rrb::AttributionAccumulator& acc = r.attribution;
         u.runs = acc.runs();
         if (u.runs != runs) u.problems.push_back("campaign ran short");
@@ -233,17 +220,7 @@ public:
     }
     std::vector<Bounds> bounds() const override { return {Bounds{}}; }
 
-    std::vector<std::string> checkpoint_paths(SpanLog& spans) override {
-        const std::string path = scratch_dir_ + "/attribution.ckpt";
-        const Timed span(spans, "session.checkpoint",
-                         scenarios_[0].run_protocol().runs);
-        (void)session_->checkpoint(scenarios_[0], rrb::PwcetSpec{}, {},
-                                   path);
-        return {path};
-    }
-
 private:
-    std::string scratch_dir_;
     std::vector<Scenario> scenarios_;
     std::unique_ptr<rrb::Session> session_;
 };
@@ -262,7 +239,21 @@ bool same_result(const rrb::PwcetCampaignResult& a,
 class BatchGridWorkload final : public Workload {
 public:
     BatchGridWorkload(std::uint64_t seed, std::string scratch_dir)
-        : scratch_dir_(std::move(scratch_dir)) {
+        : seed_(seed), scratch_dir_(std::move(scratch_dir)) {}
+
+    const char* name() const override { return "batch-grid"; }
+    std::size_t jobs() const override { return 2; }
+    bool setup_per_unit() const override { return true; }
+
+    /// Builds and validates the 24 scenarios and a fresh Session for
+    /// the next unit. No campaign runs here: the unit's batch builds the
+    /// pool, decodes the scripts and builds the leases, as every
+    /// `rrbtool batch` invocation does (NOTES.md).
+    void setup() override {
+        session_.reset();
+        std::filesystem::create_directories(scratch_dir_);
+        items_.clear();
+        scenarios_.clear();
         // cores x lbus x contender access x seeds: 24 heterogeneous
         // campaigns, six distinct machine configurations.
         for (const rrb::CoreId cores : {2, 4, 8}) {
@@ -281,32 +272,29 @@ public:
                             campaign_scenario(
                                 rrb::MachineConfig::scaled(cores, lbus),
                                 access, kGridRuns,
-                                campaign_seed(seed, k)),
+                                campaign_seed(seed_, k)),
                             rrb::PwcetSpec{}};
+                        item.scenario.validate();
                         scenarios_.push_back(item.scenario);
                         items_.push_back(std::move(item));
                     }
                 }
             }
         }
-    }
-
-    const char* name() const override { return "batch-grid"; }
-    std::size_t jobs() const override { return 2; }
-
-    void setup() override {
-        session_.reset();
-        drop_caches();
-        std::filesystem::create_directories(scratch_dir_);
-        for (const rrb::BatchItem& item : items_) item.scenario.validate();
         session_ = std::make_unique<rrb::Session>();
         session_->jobs(jobs());
-        std::vector<rrb::BatchItem> warm = items_;
-        for (rrb::BatchItem& item : warm) item.scenario.runs(kWarmRuns);
-        (void)session_->batch(warm);
     }
 
+    /// One batch on the set-up's session, which it uses up, then every
+    /// scenario's checkpoint saved and merged back. The batch counts in
+    /// critical-path CPU time (CpuPath), the checkpoint round trip in
+    /// wall time, fsync included.
     Unit run_unit(SpanLog& spans) override {
+        if (session_ == nullptr) {
+            throw std::logic_error("batch-grid unit without a set-up");
+        }
+        const std::unique_ptr<rrb::Session> session = std::move(session_);
+        drop_caches();
         Unit u;
         std::uint64_t total = 0;
         for (const Scenario& s : scenarios_) total += s.run_protocol().runs;
@@ -314,31 +302,28 @@ public:
         rrb::BatchResult result;
         std::vector<rrb::MergedPwcetCampaign> merged;
         merged.reserve(items_.size());
-        const Clock::time_point start = Clock::now();
+        Timed unit_span(spans, "batch.unit", total);
+        double batch_cpu = 0.0;
         {
-            const Timed unit_span(spans, "batch.unit", total);
-            // A fresh session per batch: its pool threads, and with them
-            // the per-worker leases and scripts, start cold, as they do
-            // for every `rrbtool batch` invocation.
-            rrb::Session session;
-            session.jobs(jobs());
-            drop_caches();
-            {
-                const Timed span(spans, "session.batch", total);
-                result = session.batch(items_);
-            }
-            for (const rrb::BatchPointResult& point : result.points) {
-                if (!point.ok) continue;
-                const std::string path = checkpoint_path(point.name);
-                {
-                    const Timed span(spans, "save_pwcet_checkpoint", 1);
-                    rrb::save_pwcet_checkpoint(path, point.checkpoint);
-                }
-                const Timed span(spans, "session.merge", 1);
-                merged.push_back(session.merge({path}));
-            }
+            const Timed span(spans, "session.batch", total);
+            const CpuPath cpu;
+            result = session->batch(items_);
+            batch_cpu = cpu.stop();
         }
-        u.seconds = seconds_since(start);
+        Timed round_trip(spans, "checkpoint.round_trip",
+                         result.points.size());
+        for (const rrb::BatchPointResult& point : result.points) {
+            if (!point.ok) continue;
+            const std::string path = checkpoint_path(point.name);
+            {
+                const Timed span(spans, "save_pwcet_checkpoint", 1);
+                rrb::save_pwcet_checkpoint(path, point.checkpoint);
+            }
+            const Timed span(spans, "session.merge", 1);
+            merged.push_back(session->merge({path}));
+        }
+        u.seconds = batch_cpu + round_trip.stop();
+        u.wall_seconds = unit_span.stop();
 
         bounds_.clear();
         std::size_t m = 0;
@@ -384,7 +369,7 @@ public:
     }
     std::vector<Bounds> bounds() const override { return bounds_; }
 
-    std::vector<std::string> checkpoint_paths(SpanLog&) override {
+    std::vector<std::string> checkpoint_paths() const override {
         std::vector<std::string> paths;
         for (const rrb::BatchItem& item : items_) {
             const std::string path = checkpoint_path(item.name);
@@ -398,6 +383,7 @@ private:
         return scratch_dir_ + "/" + name + ".ckpt";
     }
 
+    std::uint64_t seed_;
     std::string scratch_dir_;
     std::vector<rrb::BatchItem> items_;
     std::vector<Scenario> scenarios_;
@@ -412,17 +398,17 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const std::string& scratch_dir) {
     if (name == "pwcet-load") {
         return std::make_unique<PwcetWorkload>("pwcet-load", OpKind::kLoad,
-                                               kLoadRuns, seed, scratch_dir);
+                                               kLoadRuns, seed);
     }
     if (name == "pwcet-store") {
-        return std::make_unique<PwcetWorkload>(
-            "pwcet-store", OpKind::kStore, kStoreRuns, seed, scratch_dir);
+        return std::make_unique<PwcetWorkload>("pwcet-store", OpKind::kStore,
+                                               kStoreRuns, seed);
     }
     if (name == "batch-grid") {
         return std::make_unique<BatchGridWorkload>(seed, scratch_dir);
     }
     if (name == "attribution") {
-        return std::make_unique<AttributionWorkload>(seed, scratch_dir);
+        return std::make_unique<AttributionWorkload>(seed);
     }
     throw std::invalid_argument("unknown workload '" + name + "'");
 }
