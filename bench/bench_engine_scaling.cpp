@@ -21,13 +21,13 @@ HwmCampaignResult run_at(std::size_t jobs) {
     const MachineConfig cfg = MachineConfig::ngmp_ref();
     const Program scua =
         make_autobench(Autobench::kCacheb, 0x0100'0000, 150, 9);
-    HwmCampaignOptions opt;
-    opt.runs = kRuns;
-    opt.seed = 11;
-    engine::EngineOptions eng;
-    eng.jobs = jobs;
-    return engine::run_hwm_campaign_parallel(
-        cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), opt, eng);
+    Session session;
+    session.jobs(jobs);
+    return session.hwm(Scenario::on(cfg)
+                           .scua(scua)
+                           .rsk_contenders(OpKind::kLoad)
+                           .runs(kRuns)
+                           .seed(11));
 }
 
 void print_figure() {

@@ -76,7 +76,7 @@ void print_figure() {
     }
 
     const MergedPwcetCampaign merged =
-        merge_pwcet_checkpoints(checkpoints);
+        merge_checkpoints(checkpoints);
     const bool identical =
         merged.result.mean == reference.mean &&
         merged.result.stddev == reference.stddev &&
@@ -134,7 +134,7 @@ void BM_MergeCheckpoints(benchmark::State& state) {
         std::remove(path.c_str());
     }
     for (auto _ : state) {
-        benchmark::DoNotOptimize(merge_pwcet_checkpoints(checkpoints));
+        benchmark::DoNotOptimize(merge_checkpoints(checkpoints));
     }
 }
 BENCHMARK(BM_MergeCheckpoints)->Unit(benchmark::kMillisecond);

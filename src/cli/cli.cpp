@@ -133,7 +133,12 @@ std::optional<std::uint64_t> parse_number(const std::string& text) {
     std::uint64_t value = 0;
     for (const char c : text) {
         if (c < '0' || c > '9') return std::nullopt;
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) /
+                        10) {
+            return std::nullopt;  // does not fit in 64 bits
+        }
+        value = value * 10 + digit;
     }
     return value;
 }
@@ -340,7 +345,12 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
             flags.store_span = true;
         } else if (arg == "--runs") {
             if (const auto v = next_number("--runs")) {
-                flags.runs = static_cast<std::size_t>(*v);
+                if (*v > kMaxCampaignRuns) {
+                    flags.error = "--runs must be at most " +
+                                  std::to_string(kMaxCampaignRuns);
+                } else {
+                    flags.runs = static_cast<std::size_t>(*v);
+                }
             }
         } else if (arg == "--seed") {
             if (const auto v = next_number("--seed")) flags.seed = *v;
@@ -724,7 +734,7 @@ Scenario build_scenario(const ParsedFlags& flags,
 }
 
 /// Campaign identity for a whole (unsliced) campaign's run report:
-/// the same plan the reduce engine will derive, pinned alongside the
+/// the same plan the campaign scheduler will run, pinned alongside the
 /// scenario fingerprint and seed.
 obs::CampaignInfo whole_campaign_info(const Scenario& scenario,
                                       std::uint64_t block_size) {
@@ -1107,7 +1117,7 @@ int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
     }
 
     const std::size_t runs = scenario.run_protocol().runs;
-    // The reduce engine shards the run range — report the width it will
+    // The scheduler shards the run range — report the width it will
     // actually keep busy.
     const std::size_t jobs = engine::effective_jobs(
         flags.jobs, engine::ReducePlan::for_count(runs).shards());
@@ -1176,10 +1186,11 @@ int cmd_merge(const ParsedFlags& flags, std::ostream& out,
 /// reference from the second line on. Exit 0 = observed per-request
 /// delays bounded by the analytic ubd, 2 = a request waited longer
 /// (which falsifies Equation 1 and means a modelling bug).
-int report_whitebox(Cycle et_isolation, std::uint64_t nr,
-                    const WhiteboxAccumulator& stats, Cycle ubd,
+int report_whitebox(const engine::WhiteboxCampaignResult& r, Cycle ubd,
                     std::ostream& out) {
-    out << "et_isol = " << et_isolation << " cycles, nr = " << nr << "\n";
+    const WhiteboxAccumulator& stats = r.stats;
+    out << "et_isol = " << r.et_isolation << " cycles, nr = " << r.nr
+        << "\n";
     const StreamingExtremes<Cycle>& extremes = stats.extremes();
     out << "runs = " << stats.runs() << ", hwm = "
         << (extremes.empty() ? 0 : extremes.max()) << ", lwm = "
@@ -1272,8 +1283,7 @@ int cmd_whitebox(const ParsedFlags& flags, std::ostream& out,
     out << "whitebox: " << runs << " runs on " << jobs << " jobs, seed "
         << scenario.run_protocol().seed << " ("
         << engine::render_progress(progress) << ")\n";
-    return report_whitebox(r.et_isolation, r.nr, r.stats,
-                           scenario.config().ubd_analytic(), out);
+    return report_whitebox(r, scenario.config().ubd_analytic(), out);
 }
 
 int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
@@ -1288,12 +1298,11 @@ int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
     telemetry.campaign(telemetry_info(merged.meta));
     telemetry.finish(/*jobs=*/1, err);
     out << "merge-whitebox: " << flags.inputs.size() << " checkpoints, "
-        << merged.stats.runs() << " runs, seed " << merged.meta.seed
-        << "\n";
+        << merged.result.stats.runs() << " runs, seed "
+        << merged.meta.seed << "\n";
     // From here the report is byte-identical to the reference
     // single-process `whitebox` run — including the exit-code contract.
-    return report_whitebox(merged.et_isolation, merged.nr, merged.stats,
-                           merged.meta.ubd_analytic, out);
+    return report_whitebox(merged.result, merged.meta.ubd_analytic, out);
 }
 
 int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,

@@ -30,6 +30,13 @@ struct HwmCampaignOptions {
     Cycle max_cycles_per_run = 200'000'000;
 };
 
+/// Ceiling on any campaign's run count (10^12). MBPTA needs 10^4–10^5
+/// runs, so this never binds a real campaign; it keeps run indices,
+/// progress totals and the shard-plan arithmetic far from overflow.
+/// Every outside input — CLI flags, batch specs, checkpoint files —
+/// is checked against it.
+inline constexpr std::uint64_t kMaxCampaignRuns = 1'000'000'000'000;
+
 struct HwmCampaignResult {
     Cycle et_isolation = 0;
     Cycle high_water_mark = 0;        ///< max observed contention time
@@ -67,23 +74,6 @@ struct HwmCampaignResult {
     const MachineConfig& config, const Program& scua,
     const std::vector<Program>& contenders,
     const HwmCampaignOptions& options = {});
-
-/// A pWCET campaign streams runs into mergeable accumulators instead of
-/// materializing them: at any moment only O(runs / block_size) values
-/// are live, so 10^5+ runs cost the same memory as 10^2. The run
-/// protocol is HwmCampaignOptions itself — embedded, not copied field
-/// by field — so a streamed campaign observes exactly the execution
-/// times a materializing campaign with equal (seed, runs) would have
-/// stored, including any protocol field added later.
-struct PwcetCampaignOptions {
-    /// Seeding, release offsets and cycle caps of every run.
-    HwmCampaignOptions protocol{.runs = 100'000};
-    /// Consecutive runs per EVT block; the Gumbel is fitted to the block
-    /// maxima (classical block-maxima MBPTA).
-    std::size_t block_size = 50;
-    /// Exceedance probabilities to quote pWCET quantiles at.
-    std::vector<double> exceedance = {1e-3, 1e-6, 1e-9};
-};
 
 struct PwcetQuantile {
     double exceedance = 0.0;

@@ -100,6 +100,8 @@ void Scenario::validate() const {
     config_.validate();
     RRB_REQUIRE(scua_.has_value(), "scenario needs a scua program");
     RRB_REQUIRE(protocol_.runs >= 1, "need at least one run");
+    RRB_REQUIRE(protocol_.runs <= kMaxCampaignRuns,
+                "run count exceeds the campaign ceiling of 10^12 runs");
     // Emptiness is decidable without building the programs: the rsk
     // policy always yields a (single, core-cycled) contender kernel.
     RRB_REQUIRE(!explicit_contenders_.has_value() ||

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/campaign_engine.h"
 #include "engine/progress.h"
 #include "engine/thread_pool.h"
 #include "obs/telemetry.h"
@@ -36,66 +35,110 @@ MachineConfig apply_axes(MachineConfig config, std::optional<CoreId> cores,
     return config;
 }
 
-/// The one place a (Scenario, PwcetSpec) pair becomes the low-level
-/// campaign options — standalone pwcet and sweep grid points must
-/// assemble them identically or the bit-identity contract breaks.
-PwcetCampaignOptions to_campaign_options(const Scenario& scenario,
-                                         const PwcetSpec& spec) {
-    PwcetCampaignOptions options;
-    options.protocol = scenario.run_protocol();
-    options.block_size = spec.block_size;
-    options.exceedance = spec.exceedance;
-    return options;
-}
-
-/// The campaign identity a (scenario, spec) pair stamps into its
-/// checkpoints — and the identity resume validates loaded checkpoints
-/// against. Slice, run-range and isolation fields are filled by the
-/// slice that ran.
-CheckpointMeta campaign_meta(const Scenario& scenario, const PwcetSpec& spec,
-                             const engine::ReducePlan& plan) {
-    CheckpointMeta meta;
-    meta.scenario_fingerprint = scenario.fingerprint();
-    meta.seed = scenario.run_protocol().seed;
-    meta.total_runs = scenario.run_protocol().runs;
-    meta.block_size = spec.block_size;
-    meta.shard_size = plan.shard_size;
-    meta.plan_shards = plan.shards();
-    meta.shard_plan_hash =
-        shard_plan_hash(meta.total_runs, meta.shard_size, meta.plan_shards);
-    meta.ubd_analytic = scenario.config().ubd_analytic();
-    meta.exceedance = spec.exceedance;
-    return meta;
-}
-
-/// Lowers a scenario into the scheduler's work unit — the same option
-/// assembly (to_campaign_options) the standalone pwcet path uses, so a
-/// scheduled campaign and a sequential one fold identical inputs.
-sched::PwcetCampaignWork to_campaign_work(const Scenario& scenario,
-                                          const PwcetSpec& spec,
-                                          const char* span_name,
-                                          std::uint64_t span_index) {
-    sched::PwcetCampaignWork work;
-    work.config = scenario.config();
-    work.scua = scenario.scua_program();
-    work.contenders = scenario.contender_programs();
-    work.options = to_campaign_options(scenario, spec);
+/// Lowers a scenario into the scheduler's work unit: the whole plan
+/// unless `range` names part of it.
+sched::CampaignWork to_campaign_work(
+    const Scenario& scenario,
+    std::optional<engine::ReducePlan::ShardRange> range = std::nullopt,
+    const char* span_name = nullptr, std::uint64_t span_index = 0) {
+    sched::CampaignWork work;
+    work.inputs.config = scenario.config();
+    work.inputs.scua = scenario.scua_program();
+    work.inputs.contenders = scenario.contender_programs();
+    work.inputs.protocol = scenario.run_protocol();
+    work.range = range;
     work.span_name = span_name;
     work.span_index = span_index;
     return work;
 }
 
-/// The monolithic merge sequence over a full-plan slice: left-fold the
-/// shards in index order, finalize against the slice's baseline —
-/// exactly what engine::run_pwcet_campaign does after its reduce.
-PwcetCampaignResult finalize_slice(const engine::PwcetShardSlice& slice,
-                                   const std::vector<double>& exceedance) {
-    PwcetAccumulator acc = slice.shards.front();
-    for (std::size_t s = 1; s < slice.shards.size(); ++s) {
-        acc.merge(slice.shards[s]);
+/// A single campaign as a batch of one: announces the range's runs on
+/// `progress`, drains, and hands back the slice (rethrowing a failure).
+template <typename Kind>
+engine::CampaignSlice<typename Kind::Accumulator> run_one(
+    engine::ThreadPool& pool, engine::ProgressCounter* progress,
+    const Scenario& scenario, Kind kind,
+    std::optional<engine::ReducePlan::ShardRange> range = std::nullopt) {
+    sched::CampaignScheduler scheduler(pool);
+    scheduler.add(to_campaign_work(scenario, range), std::move(kind));
+    if (progress != nullptr) {
+        const engine::ReducePlan plan =
+            engine::ReducePlan::for_count(scenario.run_protocol().runs);
+        progress->begin(static_cast<std::size_t>(plan.runs(
+            range.value_or(engine::ReducePlan::ShardRange{0,
+                                                          plan.shards()}))));
     }
-    return finalize_pwcet_campaign(acc, slice.et_isolation, slice.nr,
-                                   exceedance);
+    sched::CampaignScheduler::RunOptions options;
+    options.runs = progress;
+    scheduler.run(options);
+    return scheduler.take<Kind>(0);
+}
+
+/// The campaign identity a scenario stamps into its checkpoints — and
+/// the identity resume validates loaded checkpoints against. The slice
+/// that ran fills the slice, run-range and isolation fields.
+CheckpointMeta campaign_meta(const Scenario& scenario,
+                             const engine::PwcetKind& kind) {
+    const engine::ReducePlan plan =
+        engine::ReducePlan::for_count(scenario.run_protocol().runs);
+    CheckpointMeta meta;
+    meta.scenario_fingerprint = scenario.fingerprint();
+    meta.seed = scenario.run_protocol().seed;
+    meta.total_runs = scenario.run_protocol().runs;
+    meta.block_size = kind.block_size;
+    meta.shard_size = plan.shard_size;
+    meta.plan_shards = plan.shards();
+    meta.shard_plan_hash =
+        shard_plan_hash(meta.total_runs, meta.shard_size, meta.plan_shards);
+    meta.ubd_analytic = scenario.config().ubd_analytic();
+    meta.exceedance = kind.exceedance;
+    return meta;
+}
+
+/// White-box identity: the pWCET one minus the EVT half (white-box
+/// campaigns have no block size or exceedance list; encoded 0 / empty).
+CheckpointMeta campaign_meta(const Scenario& scenario,
+                             const engine::WhiteboxKind&) {
+    return campaign_meta(scenario, engine::PwcetKind{0, {}});
+}
+
+/// A slice that ran, wrapped with its campaign identity.
+template <typename Kind>
+CampaignCheckpoint<Kind> to_checkpoint(
+    const Scenario& scenario, const Kind& kind, const SliceSpec& slice,
+    engine::CampaignSlice<typename Kind::Accumulator> run) {
+    CampaignCheckpoint<Kind> checkpoint;
+    checkpoint.meta = campaign_meta(scenario, kind);
+    checkpoint.meta.slice_index = slice.index;
+    checkpoint.meta.slice_count = slice.count;
+    checkpoint.meta.first_run = run.first_run;
+    checkpoint.meta.last_run = run.last_run;
+    checkpoint.meta.et_isolation = run.et_isolation;
+    checkpoint.meta.nr = run.nr;
+    checkpoint.first_shard = run.first_shard;
+    checkpoint.shards = std::move(run.shards);
+    return checkpoint;
+}
+
+/// Runs slice `slice` of the scenario's campaign of `kind` and writes
+/// it to `path`.
+template <typename Kind>
+CampaignCheckpoint<Kind> checkpoint_slice(engine::ThreadPool& pool,
+                                          engine::ProgressCounter* progress,
+                                          const Scenario& scenario,
+                                          const Kind& kind,
+                                          const SliceSpec& slice,
+                                          const std::string& path) {
+    scenario.validate();
+    const engine::ReducePlan::ShardRange range =
+        engine::ReducePlan::for_count(scenario.run_protocol().runs)
+            .slice(slice.index, slice.count);
+    const obs::Span span("session.checkpoint", slice.index, range.size());
+    CampaignCheckpoint<Kind> checkpoint =
+        to_checkpoint(scenario, kind, slice,
+                      run_one(pool, progress, scenario, kind, range));
+    save_checkpoint(path, checkpoint);
+    return checkpoint;
 }
 
 }  // namespace
@@ -126,15 +169,6 @@ engine::ThreadPool& Session::shared_pool() {
     return *pool_;
 }
 
-engine::EngineOptions Session::engine_options(
-    engine::ProgressCounter* sink) {
-    engine::EngineOptions options;
-    options.jobs = jobs_;
-    options.progress = sink;
-    options.pool = &shared_pool();
-    return options;
-}
-
 Measurement Session::isolation(const Scenario& scenario) const {
     scenario.validate();
     Measurement m =
@@ -163,33 +197,27 @@ SlowdownResult Session::slowdown(const Scenario& scenario) const {
 
 HwmCampaignResult Session::hwm(const Scenario& scenario) {
     scenario.validate();
-    const obs::Span span("session.hwm", 0,
-                         scenario.run_protocol().runs);
-    return engine::run_hwm_campaign_parallel(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    const obs::Span span("session.hwm", 0, scenario.run_protocol().runs);
+    return engine::finalize(
+        engine::HwmKind{},
+        run_one(shared_pool(), progress_, scenario, engine::HwmKind{}));
 }
 
 PwcetCampaignResult Session::pwcet(const Scenario& scenario,
                                    const PwcetSpec& spec) {
     scenario.validate();
-    const obs::Span span("session.pwcet", 0,
-                         scenario.run_protocol().runs);
-    return engine::run_pwcet_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), to_campaign_options(scenario, spec),
-        engine_options(progress_));
+    const obs::Span span("session.pwcet", 0, scenario.run_protocol().runs);
+    return engine::finalize(
+        spec, run_one(shared_pool(), progress_, scenario, spec));
 }
 
 engine::WhiteboxCampaignResult Session::whitebox(const Scenario& scenario) {
     scenario.validate();
     const obs::Span span("session.whitebox", 0,
                          scenario.run_protocol().runs);
-    return engine::run_whitebox_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    return engine::finalize(
+        engine::WhiteboxKind{},
+        run_one(shared_pool(), progress_, scenario, engine::WhiteboxKind{}));
 }
 
 engine::AttributionCampaignResult Session::attribution(
@@ -197,10 +225,9 @@ engine::AttributionCampaignResult Session::attribution(
     scenario.validate();
     const obs::Span span("session.attribution", 0,
                          scenario.run_protocol().runs);
-    return engine::run_attribution_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    return engine::finalize(engine::AttributionKind{},
+                            run_one(shared_pool(), progress_, scenario,
+                                    engine::AttributionKind{}));
 }
 
 SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
@@ -246,9 +273,11 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
                 point.cores = point.config.num_cores;
                 point.lbus = point.config.load_hit_service();
                 point.arbiter = point.config.arbiter;
-                scheduler.add(to_campaign_work(
-                    scenario.with_config(point.config), spec, "grid-point",
-                    result.points.size()));
+                scheduler.add(
+                    to_campaign_work(scenario.with_config(point.config),
+                                     std::nullopt, "grid-point",
+                                     result.points.size()),
+                    spec);
                 result.points.push_back(std::move(point));
             }
         }
@@ -257,8 +286,8 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
     run_options.campaigns_done = progress_;
     scheduler.run(run_options);
     for (std::size_t p = 0; p < result.points.size(); ++p) {
-        result.points[p].result =
-            finalize_slice(scheduler.take(p), spec.exceedance);
+        result.points[p].result = engine::finalize(
+            spec, scheduler.take<engine::PwcetKind>(p));
     }
     return result;
 }
@@ -278,8 +307,9 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
 
     sched::CampaignScheduler scheduler(shared_pool());
     for (std::size_t i = 0; i < items.size(); ++i) {
-        scheduler.add(
-            to_campaign_work(items[i].scenario, items[i].spec, "campaign", i));
+        scheduler.add(to_campaign_work(items[i].scenario, std::nullopt,
+                                       "campaign", i),
+                      items[i].spec);
     }
     sched::CampaignScheduler::RunOptions run_options;
     run_options.batch = monitor;
@@ -302,26 +332,16 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
             result.points.push_back(std::move(point));
             continue;
         }
-        engine::PwcetShardSlice slice = scheduler.take(i);
-        const engine::ReducePlan plan =
-            engine::ReducePlan::for_count(static_cast<std::uint64_t>(
-                item.scenario.run_protocol().runs));
-
+        engine::CampaignSlice<PwcetAccumulator> slice =
+            scheduler.take<engine::PwcetKind>(i);
         BatchPointResult point;
         point.name = item.name;
-        point.result = finalize_slice(slice, item.spec.exceedance);
+        point.result = engine::finalize(item.spec, slice);
         // The whole campaign as slice 0 of 1 — the exact checkpoint
         // `checkpoint(scenario, spec, {0, 1}, path)` would have written,
         // so batch output farms through the same merge tooling.
-        point.checkpoint.meta = campaign_meta(item.scenario, item.spec, plan);
-        point.checkpoint.meta.slice_index = 0;
-        point.checkpoint.meta.slice_count = 1;
-        point.checkpoint.meta.first_run = slice.first_run;
-        point.checkpoint.meta.last_run = slice.last_run;
-        point.checkpoint.meta.et_isolation = slice.et_isolation;
-        point.checkpoint.meta.nr = slice.nr;
-        point.checkpoint.first_shard = slice.first_shard;
-        point.checkpoint.shards = std::move(slice.shards);
+        point.checkpoint = to_checkpoint(item.scenario, item.spec,
+                                         SliceSpec{}, std::move(slice));
         result.points.push_back(std::move(point));
     }
     return result;
@@ -331,87 +351,25 @@ PwcetCheckpoint Session::checkpoint(const Scenario& scenario,
                                     const PwcetSpec& spec,
                                     const SliceSpec& slice,
                                     const std::string& path) {
-    scenario.validate();
-    const PwcetCampaignOptions options = to_campaign_options(scenario, spec);
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.protocol.runs));
-    const engine::ReducePlan::ShardRange range =
-        plan.slice(slice.index, slice.count);
-
-    const obs::Span span("session.checkpoint", slice.index, range.size());
-    engine::PwcetShardSlice run = engine::run_pwcet_campaign_shards(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options, range,
-        engine_options(progress_));
-
-    PwcetCheckpoint checkpoint;
-    checkpoint.meta = campaign_meta(scenario, spec, plan);
-    checkpoint.meta.slice_index = slice.index;
-    checkpoint.meta.slice_count = slice.count;
-    checkpoint.meta.first_run = run.first_run;
-    checkpoint.meta.last_run = run.last_run;
-    checkpoint.meta.et_isolation = run.et_isolation;
-    checkpoint.meta.nr = run.nr;
-    checkpoint.first_shard = run.first_shard;
-    checkpoint.shards = std::move(run.shards);
-    save_pwcet_checkpoint(path, checkpoint);
-    return checkpoint;
+    return checkpoint_slice(shared_pool(), progress_, scenario, spec,
+                            slice, path);
 }
 
 WhiteboxCheckpoint Session::checkpoint(const Scenario& scenario,
                                        const SliceSpec& slice,
                                        const std::string& path) {
-    scenario.validate();
-    const HwmCampaignOptions& options = scenario.run_protocol();
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.runs));
-    const engine::ReducePlan::ShardRange range =
-        plan.slice(slice.index, slice.count);
-
-    const obs::Span span("session.checkpoint", slice.index, range.size());
-    engine::WhiteboxShardSlice run = engine::run_whitebox_campaign_shards(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options, range,
-        engine_options(progress_));
-
-    WhiteboxCheckpoint checkpoint;
-    // The campaign identity minus the EVT half: white-box campaigns
-    // have no block size or exceedance list (encoded as 0 / empty).
-    checkpoint.meta = campaign_meta(scenario, PwcetSpec{}, plan);
-    checkpoint.meta.block_size = 0;
-    checkpoint.meta.exceedance.clear();
-    checkpoint.meta.slice_index = slice.index;
-    checkpoint.meta.slice_count = slice.count;
-    checkpoint.meta.first_run = run.first_run;
-    checkpoint.meta.last_run = run.last_run;
-    checkpoint.meta.et_isolation = run.et_isolation;
-    checkpoint.meta.nr = run.nr;
-    checkpoint.first_shard = run.first_shard;
-    checkpoint.shards = std::move(run.shards);
-    save_whitebox_checkpoint(path, checkpoint);
-    return checkpoint;
+    return checkpoint_slice(shared_pool(), progress_, scenario,
+                            engine::WhiteboxKind{}, slice, path);
 }
 
 MergedPwcetCampaign Session::merge(
     const std::vector<std::string>& paths) const {
-    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
-    std::vector<PwcetCheckpoint> checkpoints;
-    checkpoints.reserve(paths.size());
-    for (const std::string& path : paths) {
-        checkpoints.push_back(load_pwcet_checkpoint(path));
-    }
-    return merge_pwcet_checkpoints(std::move(checkpoints), paths);
+    return merge_checkpoint_files<engine::PwcetKind>(paths);
 }
 
 MergedWhiteboxCampaign Session::merge_whitebox(
     const std::vector<std::string>& paths) const {
-    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
-    std::vector<WhiteboxCheckpoint> checkpoints;
-    checkpoints.reserve(paths.size());
-    for (const std::string& path : paths) {
-        checkpoints.push_back(load_whitebox_checkpoint(path));
-    }
-    return merge_whitebox_checkpoints(std::move(checkpoints), paths);
+    return merge_checkpoint_files<engine::WhiteboxKind>(paths);
 }
 
 PwcetCampaignResult Session::resume(const Scenario& scenario,
@@ -433,10 +391,9 @@ PwcetCampaignResult Session::resume_impl(
     scenario.validate();
     const obs::Span span("session.resume", 0,
                          scenario.run_protocol().runs);
-    const PwcetCampaignOptions options = to_campaign_options(scenario, spec);
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.protocol.runs));
-    CheckpointMeta expected = campaign_meta(scenario, spec, plan);
+    const engine::ReducePlan plan =
+        engine::ReducePlan::for_count(scenario.run_protocol().runs);
+    CheckpointMeta expected = campaign_meta(scenario, spec);
 
     // Load and validate: every checkpoint must identify as a slice of
     // *this* campaign before any of its state is trusted. The expected
@@ -510,28 +467,15 @@ PwcetCampaignResult Session::resume_impl(
         }
     }
 
-    // Announce the whole campaign once, with the checkpointed runs
-    // counted as already completed: the progress line (and any
-    // heartbeat ETA built on it) sees "covered/total" from the first
-    // tick instead of a cold start re-announced per uncovered range.
-    engine::EngineOptions resumed_options = engine_options(progress_);
-    if (progress_ != nullptr) {
-        std::size_t covered_runs = 0;
-        for (std::size_t s = 0; s < plan.shards(); ++s) {
-            if (owner[s] != kNobody) {
-                covered_runs += static_cast<std::size_t>(
-                    plan.shard_end(s) - plan.shard_begin(s));
-            }
-        }
-        progress_->begin_resumed(
-            static_cast<std::size_t>(plan.count), covered_runs);
-        resumed_options.progress_pre_announced = true;
-    }
-
-    // Run every maximal uncovered shard range, exactly as a checkpoint
-    // slice would have.
+    // Every maximal uncovered shard range becomes one campaign of a
+    // single scheduler batch, exactly as a checkpoint slice would have
+    // run it (fault-site key: the range's position in shard order).
+    sched::CampaignScheduler scheduler(shared_pool());
+    std::vector<std::size_t> range_first;
+    std::uint64_t covered_runs = 0;
     for (std::size_t s = 0; s < plan.shards();) {
         if (owner[s] != kNobody) {
+            covered_runs += plan.runs({s, s + 1});
             ++s;
             continue;
         }
@@ -542,10 +486,28 @@ PwcetCampaignResult Session::resume_impl(
         if (recovery != nullptr) {
             recovery->shards_rerun += static_cast<std::uint64_t>(end - s);
         }
-        engine::PwcetShardSlice fresh = engine::run_pwcet_campaign_shards(
-            scenario.config(), scenario.scua_program(),
-            scenario.contender_programs(), options, {s, end},
-            resumed_options);
+        scheduler.add(
+            to_campaign_work(scenario, engine::ReducePlan::ShardRange{s, end}),
+            spec);
+        range_first.push_back(s);
+        s = end;
+    }
+
+    // Announce the whole campaign once, with the checkpointed runs
+    // counted as already completed: the progress line (and any
+    // heartbeat ETA built on it) sees "covered/total" from the first
+    // tick instead of a cold start.
+    if (progress_ != nullptr) {
+        progress_->begin_resumed(static_cast<std::size_t>(plan.count),
+                                 static_cast<std::size_t>(covered_runs));
+    }
+    sched::CampaignScheduler::RunOptions options;
+    options.runs = progress_;
+    scheduler.run(options);
+
+    for (std::size_t r = 0; r < range_first.size(); ++r) {
+        engine::CampaignSlice<PwcetAccumulator> fresh =
+            scheduler.take<engine::PwcetKind>(r);
         if (have_baseline && (fresh.et_isolation != expected.et_isolation ||
                               fresh.nr != expected.nr)) {
             // The fingerprints matched, so a diverging deterministic
@@ -559,18 +521,11 @@ PwcetCampaignResult Session::resume_impl(
         expected.nr = fresh.nr;
         have_baseline = true;
         for (std::size_t f = 0; f < fresh.shards.size(); ++f) {
-            by_shard[s + f] = std::move(fresh.shards[f]);
+            by_shard[range_first[r] + f] = std::move(fresh.shards[f]);
         }
-        s = end;
     }
-
-    // The monolithic merge sequence: left-fold in shard-index order.
-    PwcetAccumulator acc = std::move(by_shard[0]);
-    for (std::size_t s = 1; s < by_shard.size(); ++s) {
-        acc.merge(by_shard[s]);
-    }
-    return finalize_pwcet_campaign(acc, expected.et_isolation, expected.nr,
-                                   options.exceedance);
+    return spec.finalize(engine::merge_in_order(by_shard),
+                         expected.et_isolation, expected.nr);
 }
 
 }  // namespace rrb

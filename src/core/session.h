@@ -11,20 +11,20 @@
 //   auto                wb  = session.whitebox(scenario);
 //   SweepResult         g   = session.sweep(scenario, axes, spec);
 //
-// Every entry point inherits the engine's determinism contract: results
-// are bit-identical at every jobs value, including 1. sweep() runs a
-// grid of MachineConfig variations (cores / lbus / arbiter axes) where
-// each grid point is itself a streamed pWCET campaign; the whole grid
-// drains as ONE flat (campaign × shard) queue on the session's shared
-// pool (sched::CampaignScheduler) — no per-point barrier, so a wide
-// grid keeps every worker busy to the end while each point's result
-// stays bit-identical to a standalone pwcet() on that config. batch()
-// does the same for heterogeneous scenarios and hands back one
-// whole-campaign checkpoint per scenario.
+// Every campaign entry point runs through one driver,
+// sched::CampaignScheduler, on the session's shared pool: hwm, pwcet,
+// whitebox, attribution and checkpoint() are each a batch of one
+// campaign of their kind (engine/reduce.h); resume() is a batch of its
+// uncovered shard ranges; sweep() and batch() submit many campaigns as
+// ONE flat (campaign × shard) queue — no per-point barrier, so a wide
+// grid keeps every worker busy to the end. Every result inherits the
+// determinism contract: bit-identical at every jobs value, including 1,
+// and a sweep point or batch item is bit-identical to the standalone
+// pwcet() of its scenario.
 //
-// This is the high-level layer. The free functions in core/campaign.h,
-// core/experiment.h and engine/ remain the low-level layer underneath;
-// the legacy campaign entry points delegate here.
+// This is the high-level layer. The free functions in core/campaign.h
+// and core/experiment.h remain the low-level layer underneath; the
+// legacy campaign entry points delegate here.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,9 @@
 #include "core/campaign.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "engine/progress.h"
 #include "engine/reduce.h"
+#include "engine/thread_pool.h"
 #include "machine/config.h"
 #include "sim/types.h"
 #include "stats/checkpoint.h"
@@ -50,12 +52,10 @@ class BatchProgress;
 
 /// The statistical half of a pWCET campaign — everything that is not
 /// the run protocol (which the Scenario owns): EVT block size and the
-/// exceedance probabilities to quote quantiles at. Defaults come from
-/// PwcetCampaignOptions, the low-level single source of truth.
-struct PwcetSpec {
-    std::size_t block_size = PwcetCampaignOptions{}.block_size;
-    std::vector<double> exceedance = PwcetCampaignOptions{}.exceedance;
-};
+/// exceedance probabilities to quote quantiles at. It is the pWCET
+/// campaign kind itself (engine/reduce.h), so every entry point
+/// configures the one kind the scheduler runs.
+using PwcetSpec = engine::PwcetKind;
 
 /// Axes of a MachineConfig grid. Empty axis = keep the base scenario's
 /// value (a single implicit point on that axis); the grid is the cross
@@ -284,9 +284,6 @@ private:
         const Scenario& scenario, const PwcetSpec& spec,
         const std::vector<std::string>& paths, ResumeRecovery* recovery);
 
-    /// EngineOptions carrying the session policy and the shared pool.
-    [[nodiscard]] engine::EngineOptions engine_options(
-        engine::ProgressCounter* sink);
     [[nodiscard]] engine::ThreadPool& shared_pool();
 
     std::size_t jobs_ = 0;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/experiment.h"
-#include "sim/contract.h"
-
 namespace rrb::engine {
 
 std::size_t effective_jobs(std::size_t requested,
@@ -12,40 +9,6 @@ std::size_t effective_jobs(std::size_t requested,
     const std::size_t jobs =
         requested == 0 ? ThreadPool::default_jobs() : requested;
     return std::max<std::size_t>(1, std::min(jobs, work_items));
-}
-
-HwmCampaignResult run_hwm_campaign_parallel(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, const EngineOptions& engine) {
-    RRB_REQUIRE(options.runs >= 1, "need at least one run");
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-
-    HwmCampaignResult result;
-    {
-        const Measurement isol =
-            run_isolation(config, scua, 0, options.max_cycles_per_run);
-        RRB_ENSURE(!isol.deadline_reached);
-        result.et_isolation = isol.exec_time;
-        result.nr = isol.bus_requests;
-    }
-
-    // Hash the campaign identity once, not once per run.
-    const std::uint64_t campaign =
-        detail::campaign_fingerprint(scua, contenders, options);
-    result.exec_times = run_indexed(
-        options.runs,
-        [&](std::size_t run) {
-            return detail::hwm_campaign_run(config, scua, contenders,
-                                            options, run, campaign);
-        },
-        engine);
-
-    result.high_water_mark = *std::max_element(result.exec_times.begin(),
-                                               result.exec_times.end());
-    result.low_water_mark = *std::min_element(result.exec_times.begin(),
-                                              result.exec_times.end());
-    return result;
 }
 
 }  // namespace rrb::engine

@@ -1,26 +1,12 @@
-// Parallel campaign engine: sharded, deterministic execution of HWM
-// campaigns and experiment grids.
+// Parallel grid engine: deterministic execution of independent
+// experiment points.
 //
-// Every run of a measurement campaign — and every point of a sensitivity
-// grid — is an independent simulation: its own Machine, its own RNG
-// stream, no shared mutable state. That makes campaigns embarrassingly
-// parallel *if* two things hold, and this module exists to make them
-// hold:
-//
-//   1. Determinism. Run i draws its random offsets from a Pcg32 seeded
-//      by SeedSequence(campaign_seed).seed_for(i) — a pure function of
-//      (seed, i) — so the schedule of threads can never leak into the
-//      numbers. run_hwm_campaign_parallel(jobs = k) is bit-identical for
-//      every k and to the serial run_hwm_campaign.
-//   2. Cheap merge. Per-run results land in a pre-sized slot vector
-//      indexed by run id (ordered collection), and campaign statistics
-//      (HWM = max, LWM = min) are associative reductions over it — the
-//      sharding-with-constant-cost-merge pattern.
-//
-// This module is the low-level execution layer. The public facade is
-// the Scenario/Session API (core/scenario.h, core/session.h), which
-// builds EngineOptions — including the shared pool that lets nested
-// sweeps split one jobs budget — and delegates down to these functions.
+// Every point of a sensitivity grid is an independent simulation: its
+// own Machine, no shared mutable state. run_grid fans such points across
+// a pool and collects their results in grid order (pre-sized slots
+// indexed by point), so the schedule of threads never reaches the
+// output. Campaigns — randomized runs folded into accumulators — do not
+// come through here: sched::CampaignScheduler is their one driver.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/campaign.h"
 #include "engine/progress.h"
-#include "engine/seed_sequence.h"
 #include "engine/thread_pool.h"
-#include "isa/program.h"
-#include "machine/config.h"
 
 namespace rrb::engine {
 
@@ -45,35 +27,18 @@ struct EngineOptions {
     /// Optional progress sink; begin() is called with the batch size and
     /// tick() once per finished job.
     ProgressCounter* progress = nullptr;
-    /// Optional non-owning shared pool. When set, grids and reductions
-    /// submit to it instead of spawning their own workers, and `jobs` no
-    /// longer sizes anything — the pool's width is the budget. This is
-    /// how Session::sweep nests streamed campaigns inside a config grid
-    /// without multiplying thread counts: one pool, sequential grid
-    /// points, each point's shards fanned across the shared workers.
+    /// Optional non-owning shared pool. When set, grids submit to it
+    /// instead of spawning their own workers, and `jobs` no longer
+    /// sizes anything — the pool's width is the budget.
     /// The caller must not drive the same pool from two batches at once
     /// (wait_idle() waits for *all* submitted jobs).
     ThreadPool* pool = nullptr;
-    /// When true the caller has already announced the batch on
-    /// `progress` (e.g. Session::resume calls begin_resumed() once for
-    /// the whole campaign, then runs several uncovered shard ranges);
-    /// reductions tick but never re-begin, so the counter keeps the
-    /// campaign-wide total instead of resetting per range.
-    bool progress_pre_announced = false;
 };
 
 /// `options.jobs` resolved against the actual amount of work: 0 maps to
 /// hardware concurrency, and the pool is never wider than `work_items`.
 [[nodiscard]] std::size_t effective_jobs(std::size_t requested,
                                          std::size_t work_items) noexcept;
-
-/// Parallel drop-in for run_hwm_campaign: same preconditions, same
-/// result, `engine.jobs` machines simulating campaign runs concurrently.
-[[nodiscard]] HwmCampaignResult run_hwm_campaign_parallel(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
 
 /// Evaluates `fn` on every grid point concurrently and returns the
 /// results in grid order (results[i] == fn(points[i])). `fn` must be

@@ -1,205 +1,60 @@
 #include "engine/reduce.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
-
-#include "stats/checkpoint.h"
 
 namespace rrb::engine {
 
-namespace {
-
-void validate_pwcet_options(const PwcetCampaignOptions& options,
-                            const std::vector<Program>& contenders) {
-    RRB_REQUIRE(options.protocol.runs >= 1, "need at least one run");
-    RRB_REQUIRE(options.block_size >= 1, "block size must be positive");
-    for (const double e : options.exceedance) {
+void PwcetKind::validate() const {
+    RRB_REQUIRE(block_size >= 1, "block size must be positive");
+    for (const double e : exceedance) {
         RRB_REQUIRE(e > 0.0 && e < 1.0, "exceedance probability in (0,1)");
     }
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
 }
 
-/// The deterministic isolation baseline every slice re-measures.
-std::pair<Cycle, std::uint64_t> isolation_baseline(
-    const MachineConfig& config, const Program& scua,
-    const PwcetCampaignOptions& options) {
-    const Measurement isol = run_isolation(
-        config, scua, 0, options.protocol.max_cycles_per_run);
-    RRB_ENSURE(!isol.deadline_reached);
-    return {isol.exec_time, isol.bus_requests};
-}
-
-}  // namespace
-
-PwcetCampaignResult run_pwcet_campaign(const MachineConfig& config,
-                                       const Program& scua,
-                                       const std::vector<Program>& contenders,
-                                       const PwcetCampaignOptions& options,
-                                       const EngineOptions& engine) {
-    // The monolithic campaign is the full-range slice: same shard fold,
-    // same merge sequence as a checkpointed fan-in, one process.
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(
-            options.protocol.runs));
-    PwcetShardSlice slice = run_pwcet_campaign_shards(
-        config, scua, contenders, options, {0, plan.shards()}, engine);
-
-    PwcetAccumulator acc = std::move(slice.shards[0]);
-    for (std::size_t s = 1; s < slice.shards.size(); ++s) {
-        acc.merge(slice.shards[s]);
-    }
-    return finalize_pwcet_campaign(acc, slice.et_isolation, slice.nr,
-                                   options.exceedance);
-}
-
-PwcetShardSlice run_pwcet_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const PwcetCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine) {
-    validate_pwcet_options(options, contenders);
-
-    PwcetShardSlice slice;
-    const auto [et_isolation, nr] = isolation_baseline(config, scua, options);
-    slice.et_isolation = et_isolation;
-    slice.nr = nr;
-
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(
-            options.protocol.runs));
-    slice.first_shard = range.first;
-    if (range.size() > 0) {
-        slice.first_run = plan.shard_begin(range.first);
-        slice.last_run = plan.shard_end(range.last - 1);
-    }
-    // Hoisted out of the per-run path: the campaign fingerprint hashes
-    // every contender instruction, which is pure overhead repeated
-    // thousands of times inside the reduce.
-    const std::uint64_t campaign = detail::campaign_fingerprint(
-        scua, contenders, options.protocol);
-    slice.shards = reduce_indexed_shards(
-        plan, range,
-        [&](PwcetAccumulator& acc, std::uint64_t run) {
-            acc.add(run, detail::hwm_campaign_measure(config, scua,
-                                                      contenders,
-                                                      options.protocol,
-                                                      run, campaign));
-        },
-        PwcetAccumulator(options.block_size), engine);
-    return slice;
-}
-
-WhiteboxCampaignResult run_whitebox_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, const EngineOptions& engine) {
-    // The monolithic campaign is the full-range slice (the same
-    // construction run_pwcet_campaign uses), so checkpointed slices can
-    // never drift from it.
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(options.runs));
-    WhiteboxShardSlice slice = run_whitebox_campaign_shards(
-        config, scua, contenders, options, {0, plan.shards()}, engine);
-
-    WhiteboxCampaignResult result;
-    result.et_isolation = slice.et_isolation;
-    result.nr = slice.nr;
-    result.stats = std::move(slice.shards[0]);
-    for (std::size_t s = 1; s < slice.shards.size(); ++s) {
-        result.stats.merge(slice.shards[s]);
+PwcetCampaignResult PwcetKind::finalize(const PwcetAccumulator& acc,
+                                        Cycle et_isolation,
+                                        std::uint64_t nr) const {
+    RRB_REQUIRE(!acc.extremes().empty(),
+                "cannot finalize a campaign with no observations");
+    PwcetCampaignResult result;
+    result.et_isolation = et_isolation;
+    result.nr = nr;
+    result.runs = static_cast<std::size_t>(acc.extremes().count());
+    result.high_water_mark = acc.extremes().max();
+    result.low_water_mark = acc.extremes().min();
+    result.mean = acc.moments().mean();
+    result.stddev = acc.moments().stddev();
+    result.blocks = acc.blocks().complete_blocks();
+    result.live_values = acc.blocks().live_values();
+    result.fit = acc.blocks().fit();
+    result.quantiles.reserve(exceedance.size());
+    for (const double e : exceedance) {
+        // pwcet() yields NaN on a degenerate fit's behalf only for bad p;
+        // an invalid fit (too few blocks / zero spread) is still a valid
+        // extrapolation-free row, so quote NaN explicitly there too.
+        result.quantiles.push_back(
+            {e, result.fit.valid()
+                    ? result.fit.pwcet(e)
+                    : std::numeric_limits<double>::quiet_NaN()});
     }
     return result;
 }
 
-AttributionCampaignResult run_attribution_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, const EngineOptions& engine) {
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(options.runs));
-    AttributionShardSlice slice = run_attribution_campaign_shards(
-        config, scua, contenders, options, {0, plan.shards()}, engine);
-
-    AttributionCampaignResult result;
-    result.et_isolation = slice.et_isolation;
-    result.nr = slice.nr;
-    result.attribution = std::move(slice.shards[0]);
-    for (std::size_t s = 1; s < slice.shards.size(); ++s) {
-        result.attribution.merge(slice.shards[s]);
-    }
+HwmCampaignResult HwmKind::finalize(ExecTimes acc, Cycle et_isolation,
+                                    std::uint64_t nr) {
+    RRB_REQUIRE(!acc.values.empty(),
+                "cannot finalize a campaign with no observations");
+    HwmCampaignResult result;
+    result.et_isolation = et_isolation;
+    result.nr = nr;
+    const auto [lwm, hwm] =
+        std::minmax_element(acc.values.begin(), acc.values.end());
+    result.high_water_mark = *hwm;
+    result.low_water_mark = *lwm;
+    result.exec_times = std::move(acc.values);
     return result;
-}
-
-AttributionShardSlice run_attribution_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine) {
-    RRB_REQUIRE(options.runs >= 1, "need at least one run");
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-
-    AttributionShardSlice slice;
-    {
-        const Measurement isol =
-            run_isolation(config, scua, 0, options.max_cycles_per_run);
-        RRB_ENSURE(!isol.deadline_reached);
-        slice.et_isolation = isol.exec_time;
-        slice.nr = isol.bus_requests;
-    }
-
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(options.runs));
-    slice.first_shard = range.first;
-    if (range.size() > 0) {
-        slice.first_run = plan.shard_begin(range.first);
-        slice.last_run = plan.shard_end(range.last - 1);
-    }
-    const std::uint64_t campaign =
-        detail::campaign_fingerprint(scua, contenders, options);
-    slice.shards = reduce_indexed_shards(
-        plan, range,
-        [&](AttributionAccumulator& acc, std::uint64_t run) {
-            static_cast<void>(detail::hwm_campaign_attribute(
-                config, scua, contenders, options, run, acc, campaign));
-        },
-        AttributionAccumulator{}, engine);
-    return slice;
-}
-
-WhiteboxShardSlice run_whitebox_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine) {
-    RRB_REQUIRE(options.runs >= 1, "need at least one run");
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-
-    WhiteboxShardSlice slice;
-    {
-        const Measurement isol =
-            run_isolation(config, scua, 0, options.max_cycles_per_run);
-        RRB_ENSURE(!isol.deadline_reached);
-        slice.et_isolation = isol.exec_time;
-        slice.nr = isol.bus_requests;
-    }
-
-    const ReducePlan plan =
-        ReducePlan::for_count(static_cast<std::uint64_t>(options.runs));
-    slice.first_shard = range.first;
-    if (range.size() > 0) {
-        slice.first_run = plan.shard_begin(range.first);
-        slice.last_run = plan.shard_end(range.last - 1);
-    }
-    const std::uint64_t campaign =
-        detail::campaign_fingerprint(scua, contenders, options);
-    slice.shards = reduce_indexed_shards(
-        plan, range,
-        [&](WhiteboxAccumulator& acc, std::uint64_t run) {
-            acc.add(run, detail::hwm_campaign_measure(config, scua,
-                                                      contenders, options,
-                                                      run, campaign));
-        },
-        WhiteboxAccumulator{}, engine);
-    return slice;
 }
 
 }  // namespace rrb::engine

@@ -1,9 +1,9 @@
-// Sharded streaming reduction: campaigns that never materialize results.
+// Campaign reductions: the determinism contract and the campaign kinds.
 //
-// PR 1's engine collects one result per run into a pre-sized vector;
-// that contract caps campaigns at memory ~ runs. This module extends the
-// determinism contract from "collect all results in run order" to "fold
-// them into mergeable accumulators without ever holding them":
+// A campaign never materializes more than its kind asks for: runs fold
+// into mergeable accumulators, shard by shard. This header says *what*
+// a shard computes; sched::CampaignScheduler — the one driver every
+// campaign runs through — decides which worker runs it and when.
 //
 //   * Each shard owns a contiguous run range and folds it locally, in
 //     ascending run order, into its own accumulator.
@@ -15,30 +15,36 @@
 //     see an identical merge tree — and produce bit-identical results —
 //     at every --jobs value.
 //
-// The accumulator concept: copy-constructible (the initial value seeds
-// every shard, carrying configuration such as the EVT block size),
-// `void add(std::uint64_t run_index, const Measurement&)` for campaign
-// reductions (reduce_indexed itself only needs the fold you hand it),
-// and `void merge(const Accumulator& later_shard)`.
+// A campaign kind is a small value type naming one campaign's
+// reduction:
+//
+//   using Accumulator = ...;   // copyable, `void merge(const Acc& later)`
+//   using Result = ...;
+//   static constexpr std::uint8_t kPayload;  // checkpoint payload-kind
+//                                            // byte, 0 = none
+//   Accumulator init() const;  // the empty accumulator every shard
+//                              // starts from (carries configuration)
+//   void fold(Accumulator&, const CampaignInputs&, std::uint64_t run)
+//       const;                 // one run, in ascending run order
+//   Result finalize(Accumulator merged, Cycle et_isolation,
+//                   std::uint64_t nr) const;
+//   void validate() const;     // optional: reject bad parameters
+//
+// The scheduler needs only Accumulator, init and fold; finalize and
+// kPayload serve Session and the checkpoint codec.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/experiment.h"
-#include "engine/campaign_engine.h"
-#include "engine/thread_pool.h"
-#include "fault/fault.h"
 #include "isa/program.h"
 #include "machine/config.h"
-#include "obs/telemetry.h"
 #include "sim/contract.h"
+#include "sim/types.h"
+#include "stats/attribution.h"
 #include "stats/streaming.h"
 
 namespace rrb::engine {
@@ -48,7 +54,8 @@ namespace rrb::engine {
 /// is identical whatever the worker count, which is what makes
 /// floating-point folds reproducible across --jobs values. The shard
 /// size targets kTargetShards shards so any realistic pool stays busy
-/// while slot bookkeeping stays O(1)-ish.
+/// while slot bookkeeping stays O(1)-ish. The arithmetic is exact for
+/// every 64-bit count; callers bound counts by kMaxCampaignRuns.
 struct ReducePlan {
     static constexpr std::uint64_t kTargetShards = 256;
 
@@ -58,25 +65,23 @@ struct ReducePlan {
     [[nodiscard]] static ReducePlan for_count(std::uint64_t count) noexcept {
         ReducePlan plan;
         plan.count = count;
+        // ceil(count / kTargetShards), written so it cannot overflow.
         plan.shard_size =
-            count <= kTargetShards
-                ? 1
-                : (count + kTargetShards - 1) / kTargetShards;
+            count <= kTargetShards ? 1 : (count - 1) / kTargetShards + 1;
         return plan;
     }
 
     [[nodiscard]] std::size_t shards() const noexcept {
-        return count == 0
-                   ? 0
-                   : static_cast<std::size_t>(
-                         (count + shard_size - 1) / shard_size);
+        return count == 0 ? 0
+                          : static_cast<std::size_t>(
+                                (count - 1) / shard_size + 1);
     }
     [[nodiscard]] std::uint64_t shard_begin(std::size_t shard) const noexcept {
         return static_cast<std::uint64_t>(shard) * shard_size;
     }
     [[nodiscard]] std::uint64_t shard_end(std::size_t shard) const noexcept {
-        const std::uint64_t end = shard_begin(shard) + shard_size;
-        return end < count ? end : count;
+        const std::uint64_t begin = shard_begin(shard);
+        return count - begin < shard_size ? count : begin + shard_size;
     }
 
     /// Contiguous shard range [first, last) of one plan.
@@ -88,6 +93,13 @@ struct ReducePlan {
             return last - first;
         }
     };
+
+    /// The runs a shard range covers (0 for an empty range).
+    [[nodiscard]] std::uint64_t runs(ShardRange range) const noexcept {
+        return range.size() == 0
+                   ? 0
+                   : shard_end(range.last - 1) - shard_begin(range.first);
+    }
 
     /// Slice `slice_index` of `slice_count`: the plan's shards divided
     /// into contiguous, collectively exhaustive, mutually disjoint
@@ -108,244 +120,167 @@ struct ReducePlan {
     }
 };
 
-/// Folds the plan's shards [range.first, range.last) concurrently, each
-/// shard folding its contiguous index range in ascending order into a
-/// copy of `init`, and returns the *unmerged* per-shard accumulators in
-/// shard order. This is the primitive both the monolithic reduce and
-/// the checkpointed slices are built on: a shard accumulator depends
-/// only on (plan, shard index, fold), so a shard computed by slice 3 of
-/// 4 on another machine is bit-identical to the one the monolithic run
-/// would have produced — and the fan-in can always replay the one true
-/// merge sequence. `fold` must be safe to call concurrently on distinct
-/// accumulators. Progress begins with the range's index count and ticks
-/// once per index.
-template <typename Accumulator, typename Fold>
-[[nodiscard]] std::vector<Accumulator> reduce_indexed_shards(
-    const ReducePlan& plan, ReducePlan::ShardRange range, Fold&& fold,
-    const Accumulator& init, const EngineOptions& engine = {}) {
-    RRB_REQUIRE(range.first <= range.last && range.last <= plan.shards(),
-                "shard range outside the plan");
-    if (engine.progress != nullptr && !engine.progress_pre_announced) {
-        const std::uint64_t indices =
-            range.size() == 0
-                ? 0
-                : plan.shard_end(range.last - 1) -
-                      plan.shard_begin(range.first);
-        engine.progress->begin(static_cast<std::size_t>(indices));
-    }
-    std::vector<std::optional<Accumulator>> slots(range.size());
-    if (!slots.empty()) {
-        // Borrow a shared pool when the caller provides one (nested
-        // campaigns splitting a jobs budget); otherwise build a
-        // batch-local pool. Neither changes results: the shard plan —
-        // and with it every merge tree — depends only on `count`.
-        std::optional<ThreadPool> local;
-        ThreadPool& pool =
-            engine.pool != nullptr
-                ? *engine.pool
-                : local.emplace(effective_jobs(engine.jobs, range.size()));
-        // The shard spans' parent is whatever span is open on the
-        // *submitting* thread (the campaign/grid-point span) — captured
-        // here because the workers' own span stacks are unrelated.
-        const std::uint64_t parent_span = obs::current_span();
-        for (std::size_t s = 0; s < range.size(); ++s) {
-            pool.submit([&slots, &plan, &range, &fold, &engine, &init,
-                         parent_span, s] {
-                const std::size_t shard = range.first + s;
-                // Fault site: a worker dying mid-campaign before its
-                // shard folds (key: plan shard index). Off the per-run
-                // path — one disarmed load per shard.
-                if (fault::should_fire(fault::Site::kShardThrow,
-                                       shard)) {
-                    throw std::runtime_error(
-                        "injected shard worker failure (shard " +
-                        std::to_string(shard) + ")");
-                }
-                const std::uint64_t first = plan.shard_begin(shard);
-                const std::uint64_t last = plan.shard_end(shard);
-                const std::uint64_t begin_ns =
-                    obs::enabled()
-                        ? obs::TelemetryRegistry::instance().now_ns()
-                        : 0;
-                const obs::Span span("shard", parent_span, shard,
-                                     last - first);
-                Accumulator acc = init;  // carries configuration state
-                for (std::uint64_t i = first; i < last; ++i) {
-                    fold(acc, i);
-                    if (engine.progress != nullptr) engine.progress->tick();
-                }
-                slots[s].emplace(std::move(acc));
-                obs::count(obs::kShardsCompleted);
-                if (obs::enabled()) {
-                    obs::count(
-                        obs::kShardWallNs,
-                        obs::TelemetryRegistry::instance().now_ns() -
-                            begin_ns);
-                }
-            });
-        }
-        pool.wait_idle();  // rethrows the first shard failure
-    }
-    std::vector<Accumulator> results;
-    results.reserve(slots.size());
-    for (std::optional<Accumulator>& slot : slots) {
-        results.push_back(std::move(*slot));
-    }
-    return results;
-}
+/// What every run of one campaign reads: a scenario lowered to engine
+/// inputs.
+struct CampaignInputs {
+    MachineConfig config;
+    Program scua;
+    std::vector<Program> contenders;
+    HwmCampaignOptions protocol;
+    /// detail::campaign_fingerprint of (scua, contenders, protocol).
+    /// The scheduler hashes it once per campaign; it is pure overhead
+    /// repeated per shard or per run.
+    std::uint64_t fingerprint = 0;
+};
 
-/// Folds `fold(acc, i)` for i in [0, count) into a single accumulator:
-/// the full shard range via reduce_indexed_shards, then the shard
-/// results merged in shard order. Progress ticks once per index.
-template <typename Accumulator, typename Fold>
-[[nodiscard]] Accumulator reduce_indexed(std::uint64_t count, Fold&& fold,
-                                         Accumulator init,
-                                         const EngineOptions& engine = {}) {
-    if (count == 0) {
-        if (engine.progress != nullptr && !engine.progress_pre_announced) {
-            engine.progress->begin(0);
-        }
-        return init;
-    }
-    const ReducePlan plan = ReducePlan::for_count(count);
-    std::vector<Accumulator> shards = reduce_indexed_shards(
-        plan, {0, plan.shards()}, std::forward<Fold>(fold), init, engine);
-    Accumulator result = std::move(shards[0]);
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        result.merge(shards[s]);
-    }
-    return result;
-}
-
-/// Campaign-shaped reduction: runs the HWM-campaign protocol for every
-/// run index and streams each run's full Measurement into the
-/// accumulator — never materializing a per-run vector. Bit-identical at
-/// every job count (see the module comment).
+/// One run range of a campaign: the isolation baseline (a
+/// deterministic measurement, so every slice observes the same value)
+/// plus the *unmerged* per-plan-shard accumulators for shards
+/// [first_shard, first_shard + shards.size()). The checkpoint codec
+/// persists exactly this; merging every slice's shards in shard-index
+/// order is bit-identical to the whole campaign.
 template <typename Accumulator>
-[[nodiscard]] Accumulator run_campaign_reduce(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, Accumulator init,
-    const EngineOptions& engine = {}) {
-    RRB_REQUIRE(options.runs >= 1, "need at least one run");
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-    const std::uint64_t campaign =
-        detail::campaign_fingerprint(scua, contenders, options);
-    return reduce_indexed(
-        static_cast<std::uint64_t>(options.runs),
-        [&](Accumulator& acc, std::uint64_t run) {
-            acc.add(run, detail::hwm_campaign_measure(config, scua,
-                                                      contenders, options,
-                                                      run, campaign));
-        },
-        std::move(init), engine);
-}
-
-/// Streamed pWCET campaign: isolation baseline, then
-/// options.protocol.runs contention runs folded into a PwcetAccumulator
-/// on the reduce path,
-/// then the Gumbel fit over the streamed block maxima and pWCET
-/// quantiles at the requested exceedance probabilities. Live memory is
-/// O(runs / block_size); results are bit-identical for every
-/// engine.jobs.
-[[nodiscard]] PwcetCampaignResult run_pwcet_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const PwcetCampaignOptions& options = {},
-    const EngineOptions& engine = {});
-
-/// One checkpointable slice of a pWCET campaign: the isolation baseline
-/// (re-measured — it is deterministic, so every slice observes the same
-/// value) plus the *unmerged* per-shard accumulators for the plan's
-/// shards [range.first, range.last). The stats/checkpoint.h codec
-/// persists this; merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_pwcet_campaign at every jobs
-/// value and every slicing.
-struct PwcetShardSlice {
+struct CampaignSlice {
     Cycle et_isolation = 0;
     std::uint64_t nr = 0;  ///< scua bus requests (PMC)
     std::size_t first_shard = 0;
     std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
     std::uint64_t last_run = 0;
-    std::vector<PwcetAccumulator> shards;  ///< in shard order
+    std::vector<Accumulator> shards;  ///< in shard order
 };
 
-[[nodiscard]] PwcetShardSlice run_pwcet_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const PwcetCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
+/// The one merge sequence: left-fold the shards in shard-index order.
+template <typename Accumulator>
+[[nodiscard]] Accumulator merge_in_order(
+    const std::vector<Accumulator>& shards) {
+    RRB_REQUIRE(!shards.empty(), "nothing to merge");
+    Accumulator acc = shards.front();
+    for (std::size_t s = 1; s < shards.size(); ++s) acc.merge(shards[s]);
+    return acc;
+}
 
-/// White-box campaign statistics over the sharded merge path: the
-/// gamma / ready-contenders / injection-delta histograms and the
-/// run-ordered execution-time series, identical to a serial fold of
-/// hwm_campaign_measure over the same options.
+/// A whole-campaign slice merged and finalized by its kind.
+template <typename Kind>
+[[nodiscard]] typename Kind::Result finalize(
+    const Kind& kind, const CampaignSlice<typename Kind::Accumulator>& slice) {
+    return kind.finalize(merge_in_order(slice.shards),
+                         slice.et_isolation, slice.nr);
+}
+
+/// Run `run` of a campaign with every stall observation kept.
+[[nodiscard]] inline Measurement measure(const CampaignInputs& in,
+                                         std::uint64_t run) {
+    return detail::hwm_campaign_measure(in.config, in.scua, in.contenders,
+                                        in.protocol, run, in.fingerprint);
+}
+
+/// Streamed pWCET: runs fold into mergeable accumulators instead of
+/// being materialized — at any moment only O(runs / block_size) values
+/// are live, so 10^5+ runs cost the same memory as 10^2 — then the
+/// Gumbel fit over the block maxima and the pWCET quantiles at the
+/// requested exceedance probabilities. The runs are exactly the ones a
+/// materializing campaign with equal (seed, runs) would have stored.
+struct PwcetKind {
+    using Accumulator = PwcetAccumulator;
+    using Result = PwcetCampaignResult;
+    static constexpr std::uint8_t kPayload = 1;
+
+    /// Consecutive runs per EVT block; the Gumbel is fitted to the block
+    /// maxima (classical block-maxima MBPTA).
+    std::size_t block_size = 50;
+    /// Exceedance probabilities to quote pWCET quantiles at.
+    std::vector<double> exceedance = {1e-3, 1e-6, 1e-9};
+
+    void validate() const;
+    [[nodiscard]] Accumulator init() const {
+        return PwcetAccumulator(block_size);
+    }
+    static void fold(Accumulator& acc, const CampaignInputs& in,
+                     std::uint64_t run) {
+        acc.add(run, measure(in, run));
+    }
+    [[nodiscard]] Result finalize(const Accumulator& acc, Cycle et_isolation,
+                                  std::uint64_t nr) const;
+};
+
+/// White-box campaign statistics: the gamma / ready-contenders /
+/// injection-delta histograms and the run-ordered execution-time
+/// series, identical to a serial fold of hwm_campaign_measure.
 struct WhiteboxCampaignResult {
     Cycle et_isolation = 0;
     std::uint64_t nr = 0;
     WhiteboxAccumulator stats;
 };
 
-[[nodiscard]] WhiteboxCampaignResult run_whitebox_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
+struct WhiteboxKind {
+    using Accumulator = WhiteboxAccumulator;
+    using Result = WhiteboxCampaignResult;
+    static constexpr std::uint8_t kPayload = 2;
 
-/// One checkpointable slice of a white-box campaign — the
-/// WhiteboxAccumulator counterpart of PwcetShardSlice, on the same
-/// contract: per-plan-shard accumulators, isolation re-measured per
-/// slice, merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_whitebox_campaign.
-struct WhiteboxShardSlice {
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;  ///< scua bus requests (PMC)
-    std::size_t first_shard = 0;
-    std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
-    std::uint64_t last_run = 0;
-    std::vector<WhiteboxAccumulator> shards;  ///< in shard order
+    [[nodiscard]] static Accumulator init() { return {}; }
+    static void fold(Accumulator& acc, const CampaignInputs& in,
+                     std::uint64_t run) {
+        acc.add(run, measure(in, run));
+    }
+    [[nodiscard]] static Result finalize(Accumulator acc, Cycle et_isolation,
+                                         std::uint64_t nr) {
+        return {et_isolation, nr, std::move(acc)};
+    }
 };
 
-[[nodiscard]] WhiteboxShardSlice run_whitebox_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
-
-/// Cycle-attribution campaign over the sharded merge path: every run
-/// executes with the profiler armed and its finalized per-core cause
-/// timelines / per-contender blame matrix are summed, identical to a
-/// serial fold of hwm_campaign_attribute over the same options.
+/// Cycle-attribution campaign: every run executes with the profiler
+/// armed and its finalized per-core cause timelines / per-contender
+/// blame matrix are summed, identical to a serial fold of
+/// hwm_campaign_attribute.
 struct AttributionCampaignResult {
     Cycle et_isolation = 0;
     std::uint64_t nr = 0;  ///< scua bus requests (PMC)
     AttributionAccumulator attribution;
 };
 
-[[nodiscard]] AttributionCampaignResult run_attribution_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
+struct AttributionKind {
+    using Accumulator = AttributionAccumulator;
+    using Result = AttributionCampaignResult;
+    static constexpr std::uint8_t kPayload = 0;
 
-/// One checkpointable slice of an attribution campaign — the
-/// AttributionAccumulator counterpart of WhiteboxShardSlice, on the
-/// same contract: per-plan-shard accumulators, isolation re-measured
-/// per slice, merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_attribution_campaign.
-struct AttributionShardSlice {
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;  ///< scua bus requests (PMC)
-    std::size_t first_shard = 0;
-    std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
-    std::uint64_t last_run = 0;
-    std::vector<AttributionAccumulator> shards;  ///< in shard order
+    [[nodiscard]] static Accumulator init() { return {}; }
+    static void fold(Accumulator& acc, const CampaignInputs& in,
+                     std::uint64_t run) {
+        static_cast<void>(detail::hwm_campaign_attribute(
+            in.config, in.scua, in.contenders, in.protocol, run, acc,
+            in.fingerprint));
+    }
+    [[nodiscard]] static Result finalize(Accumulator acc, Cycle et_isolation,
+                                         std::uint64_t nr) {
+        return {et_isolation, nr, std::move(acc)};
+    }
 };
 
-[[nodiscard]] AttributionShardSlice run_attribution_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
+/// The materializing HWM campaign's accumulator: exec times in run
+/// order (memory ~ runs, by design — the caller asked for every one).
+struct ExecTimes {
+    std::vector<Cycle> values;
+
+    void merge(const ExecTimes& later) {
+        values.insert(values.end(), later.values.begin(),
+                      later.values.end());
+    }
+};
+
+struct HwmKind {
+    using Accumulator = ExecTimes;
+    using Result = HwmCampaignResult;
+    static constexpr std::uint8_t kPayload = 0;
+
+    [[nodiscard]] static Accumulator init() { return {}; }
+    static void fold(Accumulator& acc, const CampaignInputs& in,
+                     std::uint64_t run) {
+        acc.values.push_back(detail::hwm_campaign_run(
+            in.config, in.scua, in.contenders, in.protocol, run,
+            in.fingerprint));
+    }
+    [[nodiscard]] static Result finalize(Accumulator acc, Cycle et_isolation,
+                                         std::uint64_t nr);
+};
 
 }  // namespace rrb::engine

@@ -44,10 +44,13 @@
 //
 // No trigger means "*". "@KEY" restricts a rule to evaluations carrying
 // that key; a rule without "@" matches every key. What the key means is
-// the site's contract: scheduler sites (shard-throw, transient-io) are
-// keyed by campaign index in submission order, the engine reduce
-// evaluates shard-throw keyed by plan shard index, checkpoint sites by
-// save sequence number, decode-overflow by decode sequence number.
+// the site's contract: the scheduler sites (shard-throw, transient-io)
+// are keyed by campaign index in submission order within one scheduler
+// batch — a single-campaign Session call (pwcet, whitebox, attribution,
+// hwm, one checkpoint slice) is campaign 0, a batch or sweep numbers its
+// scenarios / grid points, resume numbers its uncovered shard ranges in
+// shard order — checkpoint sites by save sequence number,
+// decode-overflow by decode sequence number.
 //
 // Examples:
 //   RRB_FAULTS='shard-throw@1:1'        first work item of campaign 1
@@ -72,10 +75,9 @@
 
 namespace rrb::fault {
 
-/// Named injection sites. Each is declared by exactly one (or, for
-/// kShardThrow, two — scheduler and engine reduce) production call
-/// sites; the comment names the failure it simulates and the key the
-/// site evaluates with.
+/// Named injection sites. Each is declared by exactly one production
+/// call site; the comment names the failure it simulates and the key
+/// the site evaluates with.
 enum class Site : unsigned {
     kCheckpointTruncate = 0,  ///< crash mid-write: torn temp file left
                               ///< behind (key: save sequence number)
@@ -84,8 +86,7 @@ enum class Site : unsigned {
     kCheckpointRename,        ///< rename into place fails (key: save
                               ///< sequence number)
     kShardThrow,              ///< worker throws mid-campaign (key:
-                              ///< campaign index in the scheduler,
-                              ///< plan shard index in engine reduce)
+                              ///< campaign index in the scheduler)
     kDecodeOverflow,          ///< replay decode reports overflow and
                               ///< falls back to the interpreter (key:
                               ///< decode sequence number)

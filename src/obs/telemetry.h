@@ -14,7 +14,7 @@
 //   * Counters live in per-worker CounterBlocks. A worker thread bumps
 //     its own cache-line-aligned block with relaxed atomics — no locks,
 //     no sharing — and the registry sums the blocks on read. This is the
-//     same discipline as engine::reduce_indexed: per-worker state,
+//     same discipline as the campaign shards: per-worker state,
 //     merged by the reader, so the hot path never synchronizes.
 //   * Deterministic counters (runs completed, cycles simulated, events
 //     skipped) obey a merge law: the merged total is identical at every

@@ -1,6 +1,7 @@
 #include "sched/batch_spec.h"
 
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -64,7 +65,12 @@ std::uint64_t parse_number(std::string_view text, std::size_t line,
     std::uint64_t value = 0;
     for (const char c : text) {
         if (c < '0' || c > '9') fail(line, key + " needs a number");
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) /
+                        10) {
+            fail(line, key + " does not fit in 64 bits");
+        }
+        value = value * 10 + digit;
     }
     return value;
 }
@@ -122,7 +128,12 @@ void apply_key(SpecEntry& entry, std::string_view key,
     } else if (key == "iterations") {
         entry.iterations = parse_number(value, line, k);
     } else if (key == "runs") {
-        entry.runs = static_cast<std::size_t>(parse_number(value, line, k));
+        const std::uint64_t runs = parse_number(value, line, k);
+        if (runs > kMaxCampaignRuns) {
+            fail(line, "runs must be at most " +
+                           std::to_string(kMaxCampaignRuns));
+        }
+        entry.runs = static_cast<std::size_t>(runs);
     } else if (key == "seed") {
         entry.seed = parse_number(value, line, k);
     } else if (key == "block-size") {

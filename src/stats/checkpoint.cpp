@@ -29,15 +29,10 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {'R', 'R', 'B', 'C', 'K', 'P', 'T', '1'};
 constexpr std::uint32_t kFormatVersion = 2;
 
-enum PayloadKind : std::uint8_t {
-    kPayloadPwcet = 1,
-    kPayloadWhitebox = 2,
-};
-
 const char* payload_name(std::uint8_t kind) {
     switch (kind) {
-        case kPayloadPwcet: return "pwcet";
-        case kPayloadWhitebox: return "whitebox";
+        case engine::PwcetKind::kPayload: return "pwcet";
+        case engine::WhiteboxKind::kPayload: return "whitebox";
     }
     return "unknown";
 }
@@ -192,6 +187,7 @@ StreamingPeaksOverThreshold CheckpointCodec::load_pot(CheckpointReader& r) {
     a.count_ = r.u64();
     const std::uint64_t n = r.u64();
     if (n > a.count_) corrupt("more exceedances than observations");
+    if (n > r.remaining() / 8) corrupt("exceedances run past the file");
     a.exceedances_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         const double v = r.f64();
@@ -234,6 +230,7 @@ void CheckpointCodec::save(CheckpointWriter& w, const Series& a) {
 
 Series CheckpointCodec::load_series(CheckpointReader& r) {
     const std::uint64_t n = r.u64();
+    if (n > r.remaining() / 8) corrupt("series runs past the file");
     std::vector<double> values;
     values.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) values.push_back(r.f64());
@@ -374,7 +371,7 @@ void encode_meta(CheckpointWriter& w, const CheckpointMeta& meta) {
     for (const double e : meta.exceedance) w.f64(e);
 }
 
-CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
+CheckpointMeta decode_meta(CheckpointReader& r) {
     CheckpointMeta meta;
     meta.scenario_fingerprint = r.u64();
     meta.seed = r.u64();
@@ -394,19 +391,20 @@ CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
     for (std::uint64_t i = 0; i < n; ++i) {
         meta.exceedance.push_back(r.f64());
     }
-    if (kind == kPayloadPwcet && meta.block_size == 0) {
-        corrupt("block size 0");
+    if (meta.total_runs == 0 || meta.total_runs > kMaxCampaignRuns) {
+        corrupt("run count " + std::to_string(meta.total_runs) +
+                " outside [1, " + std::to_string(kMaxCampaignRuns) + "]");
     }
-    if (kind == kPayloadWhitebox &&
-        (meta.block_size != 0 || !meta.exceedance.empty())) {
-        corrupt("whitebox checkpoint carrying EVT parameters");
-    }
-    if (meta.shard_size == 0 || meta.plan_shards == 0) {
-        corrupt("empty shard plan");
-    }
-    if (meta.shard_plan_hash !=
-        shard_plan_hash(meta.total_runs, meta.shard_size,
-                        meta.plan_shards)) {
+    // The plan is a pure function of the run count: a checkpoint whose
+    // plan fields disagree with it was written under another plan (or
+    // crafted), and its shards must never index plan-sized tables.
+    const engine::ReducePlan plan =
+        engine::ReducePlan::for_count(meta.total_runs);
+    if (meta.shard_size != plan.shard_size ||
+        meta.plan_shards != plan.shards() ||
+        meta.shard_plan_hash != shard_plan_hash(meta.total_runs,
+                                                meta.shard_size,
+                                                meta.plan_shards)) {
         throw CheckpointError(
             "checkpoint was written under a different shard plan "
             "(engine version mismatch?) — re-run the campaign instead of "
@@ -418,13 +416,58 @@ CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
     return meta;
 }
 
+/// What the codec knows per checkpointable kind beyond engine/reduce.h:
+/// how a shard loads, how many runs it folded, which metadata is valid
+/// for it, and the kind (with its parameters) the metadata describes.
+template <typename Kind>
+struct Payload;
+
+template <>
+struct Payload<engine::PwcetKind> {
+    static PwcetAccumulator load(CheckpointReader& r) {
+        return CheckpointCodec::load_pwcet(r);
+    }
+    static std::uint64_t runs(const PwcetAccumulator& a) {
+        return a.extremes().count();
+    }
+    static void check(const CheckpointMeta& meta) {
+        if (meta.block_size == 0) corrupt("block size 0");
+    }
+    static void check(const PwcetAccumulator& shard,
+                      const CheckpointMeta& meta) {
+        if (shard.blocks().block_size() != meta.block_size) {
+            corrupt("shard block size disagrees with the metadata");
+        }
+    }
+    static engine::PwcetKind kind(const CheckpointMeta& meta) {
+        return {static_cast<std::size_t>(meta.block_size), meta.exceedance};
+    }
+};
+
+template <>
+struct Payload<engine::WhiteboxKind> {
+    static WhiteboxAccumulator load(CheckpointReader& r) {
+        return CheckpointCodec::load_whitebox(r);
+    }
+    static std::uint64_t runs(const WhiteboxAccumulator& a) {
+        return a.runs();
+    }
+    static void check(const CheckpointMeta& meta) {
+        if (meta.block_size != 0 || !meta.exceedance.empty()) {
+            corrupt("whitebox checkpoint carrying EVT parameters");
+        }
+    }
+    static void check(const WhiteboxAccumulator&, const CheckpointMeta&) {}
+    static engine::WhiteboxKind kind(const CheckpointMeta&) { return {}; }
+};
+
 }  // namespace
 
 namespace {
 
 /// Shared container prolog: magic + version + payload kind byte, with
 /// the whole file (checksum, payload) still to be read by the caller.
-void encode_header(CheckpointWriter& w, PayloadKind kind) {
+void encode_header(CheckpointWriter& w, std::uint8_t kind) {
     for (const std::uint8_t b : kMagic) w.u8(b);
     w.u32(kFormatVersion);
     w.u8(kind);
@@ -444,7 +487,7 @@ std::vector<std::uint8_t> seal(const CheckpointWriter& w) {
 /// Verifies magic, checksum, version and payload kind; returns a reader
 /// positioned at the metadata.
 CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
-                                 PayloadKind expected_kind) {
+                                 std::uint8_t expected_kind) {
     if (bytes.size() < sizeof(kMagic) + 4 + 1 + 8) {
         corrupt("too short to hold a header");
     }
@@ -483,83 +526,67 @@ CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_pwcet_checkpoint(
-    const PwcetCheckpoint& checkpoint) {
+template <typename Kind>
+std::vector<std::uint8_t> encode_checkpoint(
+    const CampaignCheckpoint<Kind>& checkpoint) {
     CheckpointWriter w;
-    encode_header(w, kPayloadPwcet);
+    encode_header(w, Kind::kPayload);
     encode_meta(w, checkpoint.meta);
     w.u64(checkpoint.first_shard);
     w.u64(checkpoint.shards.size());
-    for (const PwcetAccumulator& shard : checkpoint.shards) {
+    for (const auto& shard : checkpoint.shards) {
         CheckpointCodec::save(w, shard);
     }
     return seal(w);
 }
 
-PwcetCheckpoint decode_pwcet_checkpoint(std::span<const std::uint8_t> bytes) {
-    CheckpointReader r = open_checkpoint(bytes, kPayloadPwcet);
-    PwcetCheckpoint checkpoint;
-    checkpoint.meta = decode_meta(r, kPayloadPwcet);
-    checkpoint.first_shard = r.u64();
-    const std::uint64_t n_shards = r.u64();
-    // Overflow-proof range check: `first_shard + n_shards` could wrap
-    // and slip a huge first_shard past the bound, and these indices go
-    // on to address plan-sized vectors in merge/resume.
-    if (checkpoint.first_shard > checkpoint.meta.plan_shards ||
-        n_shards > checkpoint.meta.plan_shards - checkpoint.first_shard) {
-        corrupt("shard range outside the plan");
-    }
-    std::uint64_t folded = 0;
-    for (std::uint64_t i = 0; i < n_shards; ++i) {
-        PwcetAccumulator shard = CheckpointCodec::load_pwcet(r);
-        if (shard.blocks().block_size() != checkpoint.meta.block_size) {
-            corrupt("shard block size disagrees with the metadata");
-        }
-        folded += shard.extremes().count();
-        checkpoint.shards.push_back(std::move(shard));
-    }
-    if (folded != checkpoint.meta.last_run - checkpoint.meta.first_run) {
-        corrupt("shard observation counts do not cover the run range");
-    }
-    if (r.remaining() != 0) corrupt("trailing bytes after the payload");
-    return checkpoint;
-}
-
-std::vector<std::uint8_t> encode_whitebox_checkpoint(
-    const WhiteboxCheckpoint& checkpoint) {
-    CheckpointWriter w;
-    encode_header(w, kPayloadWhitebox);
-    encode_meta(w, checkpoint.meta);
-    w.u64(checkpoint.first_shard);
-    w.u64(checkpoint.shards.size());
-    for (const WhiteboxAccumulator& shard : checkpoint.shards) {
-        CheckpointCodec::save(w, shard);
-    }
-    return seal(w);
-}
-
-WhiteboxCheckpoint decode_whitebox_checkpoint(
+template <typename Kind>
+CampaignCheckpoint<Kind> decode_checkpoint(
     std::span<const std::uint8_t> bytes) {
-    CheckpointReader r = open_checkpoint(bytes, kPayloadWhitebox);
-    WhiteboxCheckpoint checkpoint;
-    checkpoint.meta = decode_meta(r, kPayloadWhitebox);
-    checkpoint.first_shard = r.u64();
-    const std::uint64_t n_shards = r.u64();
-    if (checkpoint.first_shard > checkpoint.meta.plan_shards ||
-        n_shards > checkpoint.meta.plan_shards - checkpoint.first_shard) {
-        corrupt("shard range outside the plan");
+    using P = Payload<Kind>;
+    try {
+        CheckpointReader r = open_checkpoint(bytes, Kind::kPayload);
+        CampaignCheckpoint<Kind> checkpoint;
+        checkpoint.meta = decode_meta(r);
+        const CheckpointMeta& meta = checkpoint.meta;
+        P::check(meta);
+        checkpoint.first_shard = r.u64();
+        const std::uint64_t n_shards = r.u64();
+        // Overflow-proof range check: `first_shard + n_shards` could
+        // wrap and slip a huge first_shard past the bound, and these
+        // indices go on to address plan-sized vectors in merge/resume.
+        if (checkpoint.first_shard > meta.plan_shards ||
+            n_shards > meta.plan_shards - checkpoint.first_shard) {
+            corrupt("shard range outside the plan");
+        }
+        const engine::ReducePlan plan =
+            engine::ReducePlan::for_count(meta.total_runs);
+        const auto first = static_cast<std::size_t>(checkpoint.first_shard);
+        const engine::ReducePlan::ShardRange range{
+            first, first + static_cast<std::size_t>(n_shards)};
+        if (meta.last_run - meta.first_run != plan.runs(range) ||
+            (range.size() > 0 && meta.first_run != plan.shard_begin(first))) {
+            corrupt("run range disagrees with the shard range");
+        }
+        checkpoint.shards.reserve(range.size());
+        for (std::size_t s = range.first; s < range.last; ++s) {
+            auto shard = P::load(r);
+            P::check(shard, meta);
+            if (P::runs(shard) != plan.shard_end(s) - plan.shard_begin(s)) {
+                corrupt("shard " + std::to_string(s) +
+                        " does not hold its plan shard's runs");
+            }
+            checkpoint.shards.push_back(std::move(shard));
+        }
+        if (r.remaining() != 0) corrupt("trailing bytes after the payload");
+        return checkpoint;
+    } catch (const CheckpointError&) {
+        throw;
+    } catch (const std::exception& e) {
+        // An accumulator invariant or allocation failing on hostile
+        // bytes is still bad data, not an internal error.
+        corrupt(e.what());
     }
-    std::uint64_t folded = 0;
-    for (std::uint64_t i = 0; i < n_shards; ++i) {
-        WhiteboxAccumulator shard = CheckpointCodec::load_whitebox(r);
-        folded += shard.runs();
-        checkpoint.shards.push_back(std::move(shard));
-    }
-    if (folded != checkpoint.meta.last_run - checkpoint.meta.first_run) {
-        corrupt("shard observation counts do not cover the run range");
-    }
-    if (r.remaining() != 0) corrupt("trailing bytes after the payload");
-    return checkpoint;
 }
 
 namespace {
@@ -672,28 +699,16 @@ std::string quarantine_checkpoint(const std::string& path) {
     return target;
 }
 
-void save_pwcet_checkpoint(const std::string& path,
-                           const PwcetCheckpoint& checkpoint) {
-    write_file(path, encode_pwcet_checkpoint(checkpoint));
+template <typename Kind>
+void save_checkpoint(const std::string& path,
+                     const CampaignCheckpoint<Kind>& checkpoint) {
+    write_file(path, encode_checkpoint(checkpoint));
 }
 
-PwcetCheckpoint load_pwcet_checkpoint(const std::string& path) {
+template <typename Kind>
+CampaignCheckpoint<Kind> load_checkpoint(const std::string& path) {
     try {
-        return decode_pwcet_checkpoint(read_file(path));
-    } catch (const CheckpointError& e) {
-        if (!e.path().empty()) throw;
-        throw CheckpointError(e.kind(), path, e.reason());
-    }
-}
-
-void save_whitebox_checkpoint(const std::string& path,
-                              const WhiteboxCheckpoint& checkpoint) {
-    write_file(path, encode_whitebox_checkpoint(checkpoint));
-}
-
-WhiteboxCheckpoint load_whitebox_checkpoint(const std::string& path) {
-    try {
-        return decode_whitebox_checkpoint(read_file(path));
+        return decode_checkpoint<Kind>(read_file(path));
     } catch (const CheckpointError& e) {
         if (!e.path().empty()) throw;
         throw CheckpointError(e.kind(), path, e.reason());
@@ -701,35 +716,6 @@ WhiteboxCheckpoint load_whitebox_checkpoint(const std::string& path) {
 }
 
 // ----------------------------------------------------------- merge
-
-PwcetCampaignResult finalize_pwcet_campaign(
-    const PwcetAccumulator& acc, Cycle et_isolation, std::uint64_t nr,
-    const std::vector<double>& exceedance) {
-    RRB_REQUIRE(!acc.extremes().empty(),
-                "cannot finalize a campaign with no observations");
-    PwcetCampaignResult result;
-    result.et_isolation = et_isolation;
-    result.nr = nr;
-    result.runs = static_cast<std::size_t>(acc.extremes().count());
-    result.high_water_mark = acc.extremes().max();
-    result.low_water_mark = acc.extremes().min();
-    result.mean = acc.moments().mean();
-    result.stddev = acc.moments().stddev();
-    result.blocks = acc.blocks().complete_blocks();
-    result.live_values = acc.blocks().live_values();
-    result.fit = acc.blocks().fit();
-    result.quantiles.reserve(exceedance.size());
-    for (const double e : exceedance) {
-        // pwcet() yields NaN on a degenerate fit's behalf only for bad p;
-        // an invalid fit (too few blocks / zero spread) is still a valid
-        // extrapolation-free row, so quote NaN explicitly there too.
-        result.quantiles.push_back(
-            {e, result.fit.valid()
-                    ? result.fit.pwcet(e)
-                    : std::numeric_limits<double>::quiet_NaN()});
-    }
-    return result;
-}
 
 void require_same_campaign(const CheckpointMeta& meta,
                            const CheckpointMeta& reference,
@@ -768,8 +754,9 @@ void require_same_campaign(const CheckpointMeta& meta,
     }
 }
 
-MergedPwcetCampaign merge_pwcet_checkpoints(
-    std::vector<PwcetCheckpoint> checkpoints,
+template <typename Kind>
+MergedCampaign<Kind> merge_checkpoints(
+    std::vector<CampaignCheckpoint<Kind>> checkpoints,
     const std::vector<std::string>& sources) {
     if (checkpoints.empty()) {
         throw CheckpointError("merge needs at least one checkpoint");
@@ -786,13 +773,14 @@ MergedPwcetCampaign merge_pwcet_checkpoints(
     }
 
     // Coverage: every plan shard exactly once — a duplicate slice (the
-    // same shard from two files) is as wrong as a missing one.
+    // same shard from two files) is as wrong as a missing one. The
+    // table is plan-sized, which decode bounded via for_count.
     constexpr std::size_t kNobody = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> owner(
         static_cast<std::size_t>(reference.plan_shards), kNobody);
-    std::vector<const PwcetAccumulator*> by_shard(owner.size(), nullptr);
+    std::vector<typename Kind::Accumulator> by_shard(owner.size());
     for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-        const PwcetCheckpoint& checkpoint = checkpoints[i];
+        CampaignCheckpoint<Kind>& checkpoint = checkpoints[i];
         for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
             const std::size_t index =
                 static_cast<std::size_t>(checkpoint.first_shard) + s;
@@ -803,7 +791,7 @@ MergedPwcetCampaign merge_pwcet_checkpoints(
                     source(i));
             }
             owner[index] = i;
-            by_shard[index] = &checkpoint.shards[s];
+            by_shard[index] = std::move(checkpoint.shards[s]);
         }
     }
     for (std::size_t index = 0; index < owner.size(); ++index) {
@@ -815,76 +803,46 @@ MergedPwcetCampaign merge_pwcet_checkpoints(
         }
     }
 
-    // The monolithic merge sequence: left-fold in shard-index order.
-    PwcetAccumulator acc = *by_shard[0];
-    for (std::size_t index = 1; index < by_shard.size(); ++index) {
-        acc.merge(*by_shard[index]);
+    // The monolithic merge sequence: left-fold in shard-index order
+    // (which also puts a series back in run order), then finalize.
+    try {
+        return {reference,
+                Payload<Kind>::kind(reference).finalize(
+                    engine::merge_in_order(by_shard),
+                    reference.et_isolation, reference.nr)};
+    } catch (const std::exception& e) {
+        throw CheckpointError("merge failed: " + std::string(e.what()));
     }
-
-    MergedPwcetCampaign merged;
-    merged.meta = reference;
-    merged.result = finalize_pwcet_campaign(
-        acc, reference.et_isolation, reference.nr, reference.exceedance);
-    return merged;
 }
 
-MergedWhiteboxCampaign merge_whitebox_checkpoints(
-    std::vector<WhiteboxCheckpoint> checkpoints,
-    const std::vector<std::string>& sources) {
-    if (checkpoints.empty()) {
-        throw CheckpointError("merge needs at least one checkpoint");
+template <typename Kind>
+MergedCampaign<Kind> merge_checkpoint_files(
+    const std::vector<std::string>& paths) {
+    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
+    std::vector<CampaignCheckpoint<Kind>> checkpoints;
+    checkpoints.reserve(paths.size());
+    for (const std::string& path : paths) {
+        checkpoints.push_back(load_checkpoint<Kind>(path));
     }
-    const auto source = [&](std::size_t i) {
-        return i < sources.size() ? sources[i]
-                                  : "checkpoint #" + std::to_string(i + 1);
-    };
-
-    const CheckpointMeta& reference = checkpoints.front().meta;
-    for (std::size_t i = 1; i < checkpoints.size(); ++i) {
-        require_same_campaign(checkpoints[i].meta, reference, source(i),
-                              source(0));
-    }
-
-    // Coverage: every plan shard exactly once, as in the pwcet fan-in.
-    constexpr std::size_t kNobody = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> owner(
-        static_cast<std::size_t>(reference.plan_shards), kNobody);
-    std::vector<const WhiteboxAccumulator*> by_shard(owner.size(), nullptr);
-    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-        const WhiteboxCheckpoint& checkpoint = checkpoints[i];
-        for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
-            const std::size_t index =
-                static_cast<std::size_t>(checkpoint.first_shard) + s;
-            if (owner[index] != kNobody) {
-                throw CheckpointError(
-                    "duplicate slice: shard " + std::to_string(index) +
-                    " appears in both " + source(owner[index]) + " and " +
-                    source(i));
-            }
-            owner[index] = i;
-            by_shard[index] = &checkpoint.shards[s];
-        }
-    }
-    for (std::size_t index = 0; index < owner.size(); ++index) {
-        if (owner[index] == kNobody) {
-            throw CheckpointError(
-                "incomplete campaign: shard " + std::to_string(index) +
-                " of " + std::to_string(owner.size()) +
-                " is covered by no checkpoint");
-        }
-    }
-
-    // The monolithic merge sequence: left-fold in shard-index order, so
-    // the exec-time series comes out in run order.
-    MergedWhiteboxCampaign merged;
-    merged.meta = reference;
-    merged.et_isolation = reference.et_isolation;
-    merged.nr = reference.nr;
-    merged.stats = *by_shard[0];
-    for (std::size_t index = 1; index < by_shard.size(); ++index) {
-        merged.stats.merge(*by_shard[index]);
-    }
-    return merged;
+    return merge_checkpoints(std::move(checkpoints), paths);
 }
+
+#define RRB_CHECKPOINT_KIND(Kind)                                          \
+    template std::vector<std::uint8_t> encode_checkpoint(                  \
+        const CampaignCheckpoint<Kind>&);                                  \
+    template CampaignCheckpoint<Kind> decode_checkpoint<Kind>(             \
+        std::span<const std::uint8_t>);                                    \
+    template void save_checkpoint(const std::string&,                      \
+                                  const CampaignCheckpoint<Kind>&);        \
+    template CampaignCheckpoint<Kind> load_checkpoint<Kind>(               \
+        const std::string&);                                               \
+    template MergedCampaign<Kind> merge_checkpoints(                       \
+        std::vector<CampaignCheckpoint<Kind>>,                             \
+        const std::vector<std::string>&);                                  \
+    template MergedCampaign<Kind> merge_checkpoint_files<Kind>(            \
+        const std::vector<std::string>&);
+RRB_CHECKPOINT_KIND(engine::PwcetKind)
+RRB_CHECKPOINT_KIND(engine::WhiteboxKind)
+#undef RRB_CHECKPOINT_KIND
 
 }  // namespace rrb

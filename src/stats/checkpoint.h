@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/campaign.h"
+#include "engine/reduce.h"
 #include "obs/report.h"
 #include "sim/types.h"
 #include "stats/attribution.h"
@@ -204,34 +205,34 @@ struct CheckpointMeta {
                                             std::uint64_t plan_shards);
 
 /// One campaign slice on disk: metadata plus the per-plan-shard
-/// accumulators for shards [first_shard, first_shard + shards.size()).
-struct PwcetCheckpoint {
+/// accumulators of a checkpointable campaign kind (engine/reduce.h)
+/// for shards [first_shard, first_shard + shards.size()). The file
+/// format tags its payload kind, so a pwcet checkpoint can never be
+/// merged as a white-box one or vice versa. White-box metadata carries
+/// block_size 0 and an empty exceedance list (no EVT half exists).
+template <typename Kind>
+struct CampaignCheckpoint {
     CheckpointMeta meta;
     std::uint64_t first_shard = 0;
-    std::vector<PwcetAccumulator> shards;
+    std::vector<typename Kind::Accumulator> shards;
 };
 
-/// A white-box campaign slice on disk — the WhiteboxAccumulator
-/// counterpart of PwcetCheckpoint, for distributing validation-figure
-/// campaigns (gamma / ready-contenders / injection histograms plus the
-/// run-ordered exec-time series). The file format tags its payload
-/// kind, so a pwcet checkpoint can never be merged as a white-box one
-/// or vice versa. Whitebox metadata carries block_size 0 and an empty
-/// exceedance list (no EVT half exists).
-struct WhiteboxCheckpoint {
-    CheckpointMeta meta;
-    std::uint64_t first_shard = 0;
-    std::vector<WhiteboxAccumulator> shards;
-};
+using PwcetCheckpoint = CampaignCheckpoint<engine::PwcetKind>;
+/// White-box slices distribute the validation-figure campaigns (gamma /
+/// ready-contenders / injection histograms plus the run-ordered
+/// exec-time series).
+using WhiteboxCheckpoint = CampaignCheckpoint<engine::WhiteboxKind>;
 
-[[nodiscard]] std::vector<std::uint8_t> encode_pwcet_checkpoint(
-    const PwcetCheckpoint& checkpoint);
-[[nodiscard]] PwcetCheckpoint decode_pwcet_checkpoint(
-    std::span<const std::uint8_t> bytes);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_whitebox_checkpoint(
-    const WhiteboxCheckpoint& checkpoint);
-[[nodiscard]] WhiteboxCheckpoint decode_whitebox_checkpoint(
+/// The codec. Decoding validates the bytes (checksum, version, payload
+/// kind) *and* the campaign they describe: the plan must be
+/// ReducePlan::for_count(total_runs), the run count within
+/// kMaxCampaignRuns, and every shard must hold exactly its plan
+/// shard's runs. Any failure throws CheckpointError.
+template <typename Kind>
+[[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(
+    const CampaignCheckpoint<Kind>& checkpoint);
+template <typename Kind>
+[[nodiscard]] CampaignCheckpoint<Kind> decode_checkpoint(
     std::span<const std::uint8_t> bytes);
 
 /// File forms. Saves are crash-safe: the bytes go to a same-directory
@@ -240,13 +241,29 @@ struct WhiteboxCheckpoint {
 /// complete file or the new complete file at `path`, never torn bytes
 /// (at worst a stale `.tmp`, which no loader ever reads). Load throws
 /// CheckpointError naming the path on any I/O or decode failure.
-void save_pwcet_checkpoint(const std::string& path,
-                           const PwcetCheckpoint& checkpoint);
-[[nodiscard]] PwcetCheckpoint load_pwcet_checkpoint(const std::string& path);
-void save_whitebox_checkpoint(const std::string& path,
-                              const WhiteboxCheckpoint& checkpoint);
-[[nodiscard]] WhiteboxCheckpoint load_whitebox_checkpoint(
+template <typename Kind>
+void save_checkpoint(const std::string& path,
+                     const CampaignCheckpoint<Kind>& checkpoint);
+template <typename Kind>
+[[nodiscard]] CampaignCheckpoint<Kind> load_checkpoint(
     const std::string& path);
+
+[[nodiscard]] inline std::vector<std::uint8_t> encode_pwcet_checkpoint(
+    const PwcetCheckpoint& checkpoint) {
+    return encode_checkpoint(checkpoint);
+}
+[[nodiscard]] inline PwcetCheckpoint decode_pwcet_checkpoint(
+    std::span<const std::uint8_t> bytes) {
+    return decode_checkpoint<engine::PwcetKind>(bytes);
+}
+inline void save_pwcet_checkpoint(const std::string& path,
+                                  const PwcetCheckpoint& checkpoint) {
+    save_checkpoint(path, checkpoint);
+}
+[[nodiscard]] inline PwcetCheckpoint load_pwcet_checkpoint(
+    const std::string& path) {
+    return load_checkpoint<engine::PwcetKind>(path);
+}
 
 /// Takes a bad checkpoint file out of the live set by renaming it to
 /// `<path>.corrupt` (overwriting an earlier quarantine of the same
@@ -256,29 +273,26 @@ void save_whitebox_checkpoint(const std::string& path,
 /// CheckpointError(Kind::kIo) if the rename itself fails.
 std::string quarantine_checkpoint(const std::string& path);
 
-/// The accumulator-to-result step shared by the monolithic campaign
-/// (engine/reduce.cpp) and the checkpoint merge: one implementation, so
-/// a merged campaign cannot drift from a single-process one.
-[[nodiscard]] PwcetCampaignResult finalize_pwcet_campaign(
-    const PwcetAccumulator& acc, Cycle et_isolation, std::uint64_t nr,
-    const std::vector<double>& exceedance);
-
 /// Throws CheckpointError — naming `source` and `reference_name` —
 /// unless `meta` identifies the same campaign as `reference`: equal
 /// scenario fingerprint, seed, run count, block size, shard plan,
 /// exceedance list and isolation baseline. Slice and run-range fields
 /// are excluded (they say which *part*, not which campaign). The one
-/// identity check behind both merge_pwcet_checkpoints and
-/// Session::resume.
+/// identity check behind both merge_checkpoints and Session::resume.
 void require_same_campaign(const CheckpointMeta& meta,
                            const CheckpointMeta& reference,
                            const std::string& source,
                            const std::string& reference_name);
 
-struct MergedPwcetCampaign {
-    CheckpointMeta meta;  ///< the shared campaign identity
-    PwcetCampaignResult result;
+/// A merged campaign: the shared identity plus the kind's result.
+template <typename Kind>
+struct MergedCampaign {
+    CheckpointMeta meta;
+    typename Kind::Result result;
 };
+
+using MergedPwcetCampaign = MergedCampaign<engine::PwcetKind>;
+using MergedWhiteboxCampaign = MergedCampaign<engine::WhiteboxKind>;
 
 /// Fan-in: validates the checkpoints are slices of one campaign (equal
 /// fingerprint / seed / plan / spec), that their shards cover the whole
@@ -286,24 +300,16 @@ struct MergedPwcetCampaign {
 /// then left-folds all shard accumulators in shard-index order — the
 /// monolithic merge sequence — and finalizes. `sources` (parallel to
 /// `checkpoints`, typically file paths) names offenders in errors; pass
-/// {} to report by slice position instead.
-[[nodiscard]] MergedPwcetCampaign merge_pwcet_checkpoints(
-    std::vector<PwcetCheckpoint> checkpoints,
+/// {} to report by slice position instead. Every failure, including one
+/// inside an accumulator merge, throws CheckpointError.
+template <typename Kind>
+[[nodiscard]] MergedCampaign<Kind> merge_checkpoints(
+    std::vector<CampaignCheckpoint<Kind>> checkpoints,
     const std::vector<std::string>& sources = {});
 
-/// White-box fan-in on the same validation + merge-order contract; the
-/// merged accumulator is bit-identical to the monolithic
-/// engine::run_whitebox_campaign's (histograms are exact integer adds,
-/// and shard-order series merge reconstructs run order).
-struct MergedWhiteboxCampaign {
-    CheckpointMeta meta;  ///< the shared campaign identity
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;
-    WhiteboxAccumulator stats;
-};
-
-[[nodiscard]] MergedWhiteboxCampaign merge_whitebox_checkpoints(
-    std::vector<WhiteboxCheckpoint> checkpoints,
-    const std::vector<std::string>& sources = {});
+/// Loads every file and merges them, naming files in errors.
+template <typename Kind>
+[[nodiscard]] MergedCampaign<Kind> merge_checkpoint_files(
+    const std::vector<std::string>& paths);
 
 }  // namespace rrb

@@ -186,8 +186,8 @@ public:
     /// enter the state (exceedances are kept in fold order); it is part
     /// of the campaign-accumulator concept's signature.
     void add(std::uint64_t run_index, double value);
-    /// Campaign form: folds the run's execution time, so the
-    /// accumulator rides engine::run_campaign_reduce unchanged.
+    /// Campaign form: folds the run's execution time, so a campaign
+    /// kind (engine/reduce.h) can fold straight into it.
     void add(std::uint64_t run_index, const Measurement& m);
 
     /// Folds a later shard in (other's runs follow this one's).

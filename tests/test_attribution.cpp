@@ -20,12 +20,15 @@
 
 #include "core/campaign.h"
 #include "core/estimator.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/reduce.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/attribution.h"
 #include "machine/config.h"
 #include "machine/machine.h"
+#include "sched/campaign_scheduler.h"
 #include "stats/attribution.h"
 #include "stats/checkpoint.h"
 
@@ -293,11 +296,15 @@ TEST(Attribution, CampaignBitIdenticalAcrossJobsAndSharding) {
     options.runs = 12;
     options.seed = 11;
 
-    engine::EngineOptions serial;
-    serial.jobs = 1;
+    const Scenario scenario = Scenario::on(config)
+                                  .scua(scua)
+                                  .contenders(contenders)
+                                  .runs(options.runs)
+                                  .seed(options.seed);
+    Session serial;
+    serial.jobs(1);
     const engine::AttributionCampaignResult reference =
-        engine::run_attribution_campaign(config, scua, contenders, options,
-                                         serial);
+        serial.attribution(scenario);
     EXPECT_EQ(reference.attribution.runs(), options.runs);
     for (CoreId c = 0; c < config.num_cores; ++c) {
         // Closed accounting survives the campaign sum: every run's core
@@ -312,32 +319,37 @@ TEST(Attribution, CampaignBitIdenticalAcrossJobsAndSharding) {
             << "core " << c;
     }
 
-    engine::EngineOptions wide;
-    wide.jobs = 4;
+    Session wide;
+    wide.jobs(4);
     const engine::AttributionCampaignResult parallel =
-        engine::run_attribution_campaign(config, scua, contenders, options,
-                                         wide);
+        wide.attribution(scenario);
     EXPECT_EQ(parallel.et_isolation, reference.et_isolation);
     expect_same_accumulator(parallel.attribution, reference.attribution,
                             "jobs 4 vs jobs 1");
 
-    // Distributed form: two disjoint shard slices, merged in shard
-    // order, reproduce the monolithic accumulator bit-exactly.
+    // Distributed form: two disjoint shard slices, run as two campaigns
+    // of one scheduler batch and merged in shard order, reproduce the
+    // monolithic accumulator bit-exactly.
     const engine::ReducePlan plan = engine::ReducePlan::for_count(
         static_cast<std::uint64_t>(options.runs));
     const std::size_t mid = plan.shards() / 2;
-    engine::AttributionShardSlice left =
-        engine::run_attribution_campaign_shards(config, scua, contenders,
-                                                options, {0, mid}, wide);
-    engine::AttributionShardSlice right =
-        engine::run_attribution_campaign_shards(
-            config, scua, contenders, options, {mid, plan.shards()}, wide);
-    AttributionAccumulator merged;
-    for (const AttributionAccumulator& shard : left.shards) {
-        merged.merge(shard);
+    engine::ThreadPool pool(4);
+    sched::CampaignScheduler scheduler(pool);
+    for (const engine::ReducePlan::ShardRange range :
+         {engine::ReducePlan::ShardRange{0, mid},
+          engine::ReducePlan::ShardRange{mid, plan.shards()}}) {
+        sched::CampaignWork work;
+        work.inputs = {config, scua, contenders, options, 0};
+        work.range = range;
+        scheduler.add(std::move(work), engine::AttributionKind{});
     }
-    for (const AttributionAccumulator& shard : right.shards) {
-        merged.merge(shard);
+    scheduler.run();
+    AttributionAccumulator merged;
+    for (std::size_t half = 0; half < 2; ++half) {
+        for (const AttributionAccumulator& shard :
+             scheduler.take<engine::AttributionKind>(half).shards) {
+            merged.merge(shard);
+        }
     }
     expect_same_accumulator(merged, reference.attribution,
                             "shard+merge vs monolithic");

@@ -15,6 +15,7 @@
 
 #include "core/scenario.h"
 #include "core/session.h"
+#include "engine/progress.h"
 #include "engine/reduce.h"
 #include "kernels/autobench.h"
 #include "machine/config.h"
@@ -197,6 +198,15 @@ TEST(CheckpointCodec, RejectsCorruptAccumulatorState) {
     CheckpointReader zero_read(zero_block.bytes());
     EXPECT_THROW((void)CheckpointCodec::load_block_maxima(zero_read),
                  CheckpointError);
+
+    // a length field claiming more values than bytes remain is rejected
+    // before anything is allocated for it
+    CheckpointWriter long_series;
+    long_series.u64(std::uint64_t{1} << 60);
+    long_series.f64(1.0);
+    CheckpointReader long_read(long_series.bytes());
+    EXPECT_THROW((void)CheckpointCodec::load_series(long_read),
+                 CheckpointError);
 }
 
 // -------------------------------------------------- campaign checkpoints
@@ -294,6 +304,57 @@ TEST(PwcetCheckpointFile, RejectsShardRangesThatOverflowThePlan) {
         CheckpointError);
 }
 
+/// A crafted file: a real checkpoint whose metadata was edited and the
+/// file re-sealed — plan hash and trailer checksum recomputed — so only
+/// semantic validation can catch it.
+std::vector<std::uint8_t> reseal(PwcetCheckpoint checkpoint) {
+    CheckpointMeta& meta = checkpoint.meta;
+    meta.shard_plan_hash =
+        shard_plan_hash(meta.total_runs, meta.shard_size, meta.plan_shards);
+    return encode_pwcet_checkpoint(checkpoint);
+}
+
+TEST(PwcetCheckpointFile, RejectsResealedFilesWhosePlanIsNotTheRunCounts) {
+    // 300 runs: 150 real shards of 2 runs each.
+    Session session;
+    session.jobs(2);
+    const std::string path = temp_path("resealed_source");
+    const PwcetCheckpoint real = session.checkpoint(
+        small_scenario(7, 300), small_spec(), {0, 1}, path);
+    ASSERT_EQ(real.meta.shard_size, 2u);
+    ASSERT_EQ(real.meta.plan_shards, 150u);
+    EXPECT_NO_THROW((void)decode_pwcet_checkpoint(reseal(real)));
+
+    PwcetCheckpoint huge_runs = real;  // 2^64-1 runs over 300 real ones
+    huge_runs.meta.total_runs = std::numeric_limits<std::uint64_t>::max();
+    PwcetCheckpoint odd_shards = real;  // a shard size the plan never has
+    odd_shards.meta.shard_size = 3;
+    PwcetCheckpoint huge_plan = real;  // a coverage table of 2^64-1
+    huge_plan.meta.plan_shards = std::numeric_limits<std::uint64_t>::max();
+    PwcetCheckpoint shifted = real;  // runs that are not the shards' runs
+    shifted.meta.first_run = 1;
+    shifted.meta.last_run = 301;
+    shifted.meta.total_runs = 301;
+    const engine::ReducePlan plan301 = engine::ReducePlan::for_count(301);
+    shifted.meta.shard_size = plan301.shard_size;
+    shifted.meta.plan_shards = plan301.shards();
+    for (const PwcetCheckpoint* crafted :
+         {&huge_runs, &odd_shards, &huge_plan, &shifted}) {
+        const std::vector<std::uint8_t> bytes = reseal(*crafted);
+        EXPECT_THROW((void)decode_pwcet_checkpoint(bytes), CheckpointError);
+        // The file forms fail the same way — never with an allocation
+        // failure or a different exception type.
+        const std::string crafted_path = temp_path("resealed");
+        std::FILE* f = std::fopen(crafted_path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
+        std::fclose(f);
+        EXPECT_THROW((void)session.merge({crafted_path}), CheckpointError);
+        std::remove(crafted_path.c_str());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(PwcetCheckpointFile, LoadNamesThePathOnFailure) {
     const std::string missing = temp_path("does_not_exist");
     try {
@@ -321,18 +382,21 @@ TEST(ScenarioFingerprint, IdentifiesTheCampaign) {
 TEST(MergeCheckpoints, RejectsMismatchedDuplicateAndMissingSlices) {
     const PwcetCheckpoint whole = make_checkpoint(7);
     const PwcetCheckpoint other_seed = make_checkpoint(23);
-    EXPECT_THROW((void)merge_pwcet_checkpoints({whole, other_seed}),
-                 CheckpointError);
+    EXPECT_THROW(
+        (void)merge_checkpoints<engine::PwcetKind>({whole, other_seed}),
+        CheckpointError);
 
     // Duplicate slice: the same shards twice.
-    EXPECT_THROW((void)merge_pwcet_checkpoints({whole, whole}),
+    EXPECT_THROW((void)merge_checkpoints<engine::PwcetKind>({whole, whole}),
                  CheckpointError);
 
     // Missing slice: half a campaign is not a campaign.
     const PwcetCheckpoint half = make_checkpoint(7, {0, 2});
-    EXPECT_THROW((void)merge_pwcet_checkpoints({half}), CheckpointError);
+    EXPECT_THROW((void)merge_checkpoints<engine::PwcetKind>({half}),
+                 CheckpointError);
 
-    EXPECT_THROW((void)merge_pwcet_checkpoints({}), CheckpointError);
+    EXPECT_THROW((void)merge_checkpoints<engine::PwcetKind>({}),
+                 CheckpointError);
 }
 
 // The headline contract (acceptance criterion): for several seeds, a
@@ -451,6 +515,38 @@ TEST(SessionResume, CompletesAPartiallyCheckpointedCampaign) {
     std::remove(other.c_str());
 }
 
+TEST(SessionResume, ProgressCountsCheckpointedRunsOnceAndEndsComplete) {
+    // The progress contract across the one driver: a slice announces its
+    // own runs; resume announces the whole campaign with the covered
+    // runs already done, and the scheduler's per-run ticks — spread over
+    // several uncovered ranges — finish it exactly.
+    const Scenario scenario = small_scenario(13, 100);
+    const PwcetSpec spec = small_spec();
+    const engine::ReducePlan plan = engine::ReducePlan::for_count(100);
+    const std::string p1 = temp_path("progress_1");
+    const std::string p3 = temp_path("progress_3");
+
+    engine::ProgressCounter slice_progress;
+    Session worker;
+    worker.jobs(2).progress(&slice_progress);
+    (void)worker.checkpoint(scenario, spec, {1, 4}, p1);
+    EXPECT_EQ(slice_progress.total(), plan.runs(plan.slice(1, 4)));
+    EXPECT_EQ(slice_progress.completed(), slice_progress.total());
+    (void)worker.checkpoint(scenario, spec, {3, 4}, p3);
+
+    engine::ProgressCounter progress;
+    Session resumer;
+    resumer.jobs(3).progress(&progress);
+    Session::ResumeRecovery recovery;
+    (void)resumer.resume(scenario, spec, {p1, p3}, recovery);
+    EXPECT_EQ(progress.total(), 100u);
+    EXPECT_EQ(progress.completed(), 100u);
+    EXPECT_EQ(recovery.shards_rerun,
+              plan.slice(0, 4).size() + plan.slice(2, 4).size());
+    std::remove(p1.c_str());
+    std::remove(p3.c_str());
+}
+
 // ------------------------------------------------- whitebox checkpoints
 
 void expect_same_whitebox(const WhiteboxAccumulator& a,
@@ -478,9 +574,10 @@ TEST(WhiteboxCheckpointFile, EncodeDecodeRoundTripsBitExactly) {
     session.jobs(2);
     const WhiteboxCheckpoint a = session.checkpoint(
         small_scenario(), SliceSpec{0, 1}, temp_path("wb_roundtrip"));
-    const std::vector<std::uint8_t> first = encode_whitebox_checkpoint(a);
-    const WhiteboxCheckpoint b = decode_whitebox_checkpoint(first);
-    EXPECT_EQ(encode_whitebox_checkpoint(b), first);
+    const std::vector<std::uint8_t> first = encode_checkpoint(a);
+    const WhiteboxCheckpoint b =
+        decode_checkpoint<engine::WhiteboxKind>(first);
+    EXPECT_EQ(encode_checkpoint(b), first);
     EXPECT_EQ(b.meta.scenario_fingerprint, a.meta.scenario_fingerprint);
     EXPECT_EQ(b.meta.block_size, 0u);  // no EVT half on whitebox slices
     EXPECT_TRUE(b.meta.exceedance.empty());
@@ -493,14 +590,14 @@ TEST(WhiteboxCheckpointFile, PayloadKindsDoNotCrossMerge) {
     // versa) — same container, tagged payloads.
     const std::vector<std::uint8_t> pwcet_bytes =
         encode_pwcet_checkpoint(make_checkpoint());
-    EXPECT_THROW((void)decode_whitebox_checkpoint(pwcet_bytes),
+    EXPECT_THROW((void)decode_checkpoint<engine::WhiteboxKind>(pwcet_bytes),
                  CheckpointError);
 
     Session session;
     const WhiteboxCheckpoint whitebox = session.checkpoint(
         small_scenario(), SliceSpec{0, 1}, temp_path("wb_kind"));
     const std::vector<std::uint8_t> whitebox_bytes =
-        encode_whitebox_checkpoint(whitebox);
+        encode_checkpoint(whitebox);
     EXPECT_THROW((void)decode_pwcet_checkpoint(whitebox_bytes),
                  CheckpointError);
     std::remove(temp_path("wb_kind").c_str());
@@ -535,10 +632,11 @@ TEST(MergeWhitebox, SliceThenMergeIsBitIdenticalToMonolithic) {
                     "seed " + std::to_string(seed) + " slices " +
                     std::to_string(slices) + " jobs " +
                     std::to_string(jobs);
-                EXPECT_EQ(merged.et_isolation, reference.et_isolation)
+                EXPECT_EQ(merged.result.et_isolation, reference.et_isolation)
                     << label;
-                EXPECT_EQ(merged.nr, reference.nr) << label;
-                expect_same_whitebox(merged.stats, reference.stats, label);
+                EXPECT_EQ(merged.result.nr, reference.nr) << label;
+                expect_same_whitebox(merged.result.stats, reference.stats,
+                                     label);
                 for (const std::string& path : paths) {
                     std::remove(path.c_str());
                 }

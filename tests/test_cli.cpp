@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "stats/checkpoint.h"
 
 namespace rrb::cli {
 namespace {
@@ -724,6 +727,69 @@ TEST(Cli, HelpListsNewCommands) {
     EXPECT_NE(r.out.find("telemetry-diff"), std::string::npos);
     EXPECT_NE(r.out.find("--trace"), std::string::npos);
     EXPECT_NE(r.out.find("--max-regression-pct"), std::string::npos);
+}
+
+TEST(Cli, RunCountsAboveTheCeilingAreRejectedNamingTheFlag) {
+    // 2^64-1 used to wrap the shard-plan arithmetic into a division by
+    // zero (SIGFPE); every campaign command now stops at the documented
+    // ceiling with a usage error.
+    for (const char* command : {"pwcet", "whitebox", "campaign",
+                                "attribution", "sweep-pwcet"}) {
+        const CliResult r =
+            invoke({command, "--runs", "18446744073709551615"});
+        EXPECT_EQ(r.code, 1) << command;
+        EXPECT_NE(r.err.find("--runs must be at most 1000000000000"),
+                  std::string::npos)
+            << command << ": " << r.err;
+    }
+    // One past the ceiling is rejected too; a number that does not fit
+    // in 64 bits is not a number.
+    EXPECT_EQ(invoke({"pwcet", "--runs", "1000000000001"}).code, 1);
+    const CliResult wide =
+        invoke({"pwcet", "--runs", "99999999999999999999999"});
+    EXPECT_EQ(wide.code, 1);
+    EXPECT_NE(wide.err.find("--runs needs a number"), std::string::npos);
+}
+
+TEST(Cli, BatchSpecRunCountAboveTheCeilingNamesKeyAndLine) {
+    const std::string spec = testing::TempDir() + "rrb_huge_runs.spec";
+    {
+        std::ofstream out(spec);
+        out << "[scenario ok]\nruns = 100\n\n[scenario too-many]\n"
+               "runs = 18446744073709551615\n";
+    }
+    const CliResult r = invoke({"batch", spec, "--out-dir",
+                                testing::TempDir() + "rrb_huge_out"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("batch spec line 5: runs must be at most"),
+              std::string::npos)
+        << r.err;
+    std::remove(spec.c_str());
+}
+
+TEST(Cli, MergeOfACraftedCheckpointIsADataErrorNotACrash) {
+    // A real checkpoint whose plan_shards was rewritten to 2^64-1 and
+    // the file re-sealed: merge used to size its coverage table from it
+    // and die of an allocation failure (exit 70).
+    const std::string dir = testing::TempDir();
+    const std::string path = dir + "rrb_crafted_src.ckpt";
+    ASSERT_EQ(invoke({"pwcet", "--runs", "300", "--jobs", "2",
+                      "--checkpoint-out", path})
+                  .code,
+              0);
+    PwcetCheckpoint crafted = load_pwcet_checkpoint(path);
+    crafted.meta.plan_shards = ~std::uint64_t{0};
+    crafted.meta.shard_plan_hash =
+        shard_plan_hash(crafted.meta.total_runs, crafted.meta.shard_size,
+                        crafted.meta.plan_shards);
+    const std::string bad = dir + "rrb_crafted.ckpt";
+    save_pwcet_checkpoint(bad, crafted);
+    const CliResult r = invoke({"merge", bad});
+    EXPECT_EQ(r.code, 1) << r.err;
+    EXPECT_NE(r.err.find(bad), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("failed"), std::string::npos) << r.err;
+    std::remove(path.c_str());
+    std::remove(bad.c_str());
 }
 
 }  // namespace

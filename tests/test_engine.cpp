@@ -13,6 +13,8 @@
 #include "core/campaign.h"
 #include "core/estimator.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/progress.h"
 #include "engine/seed_sequence.h"
 #include "engine/thread_pool.h"
@@ -205,6 +207,15 @@ HwmCampaignOptions small_campaign() {
     return opt;
 }
 
+Scenario campaign_scenario(const MachineConfig& cfg, const Program& scua,
+                           std::vector<Program> contenders,
+                           const HwmCampaignOptions& opt) {
+    return Scenario::on(cfg)
+        .scua(scua)
+        .contenders(std::move(contenders))
+        .protocol(opt);
+}
+
 TEST(CampaignEngine, ParallelMatchesSerialAtEveryJobCount) {
     const MachineConfig cfg = MachineConfig::ngmp_ref();
     const Program scua =
@@ -212,19 +223,25 @@ TEST(CampaignEngine, ParallelMatchesSerialAtEveryJobCount) {
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
 
-    const HwmCampaignResult serial =
+    // The serial reference, run by hand in run order.
+    std::vector<Cycle> serial;
+    for (std::uint64_t run = 0; run < small_campaign().runs; ++run) {
+        serial.push_back(detail::hwm_campaign_run(cfg, scua, contenders,
+                                                  small_campaign(), run));
+    }
+    const HwmCampaignResult legacy =
         run_hwm_campaign(cfg, scua, contenders, small_campaign());
+    EXPECT_EQ(legacy.exec_times, serial);
     for (const std::size_t jobs : {1u, 2u, 3u, 8u}) {
-        engine::EngineOptions eng;
-        eng.jobs = jobs;
-        const HwmCampaignResult parallel = engine::run_hwm_campaign_parallel(
-            cfg, scua, contenders, small_campaign(), eng);
-        EXPECT_EQ(parallel.exec_times, serial.exec_times)
-            << "jobs = " << jobs;
-        EXPECT_EQ(parallel.high_water_mark, serial.high_water_mark);
-        EXPECT_EQ(parallel.low_water_mark, serial.low_water_mark);
-        EXPECT_EQ(parallel.et_isolation, serial.et_isolation);
-        EXPECT_EQ(parallel.nr, serial.nr);
+        Session session;
+        session.jobs(jobs);
+        const HwmCampaignResult parallel = session.hwm(
+            campaign_scenario(cfg, scua, contenders, small_campaign()));
+        EXPECT_EQ(parallel.exec_times, serial) << "jobs = " << jobs;
+        EXPECT_EQ(parallel.high_water_mark, legacy.high_water_mark);
+        EXPECT_EQ(parallel.low_water_mark, legacy.low_water_mark);
+        EXPECT_EQ(parallel.et_isolation, legacy.et_isolation);
+        EXPECT_EQ(parallel.nr, legacy.nr);
     }
 }
 
@@ -252,12 +269,12 @@ TEST(CampaignEngine, ValidatesLikeSerial) {
     const Program scua = make_rsk(p);
     HwmCampaignOptions opt;
     opt.runs = 0;
+    Session session;
     EXPECT_THROW(
-        (void)engine::run_hwm_campaign_parallel(cfg, scua, {scua}, opt),
+        (void)session.hwm(campaign_scenario(cfg, scua, {scua}, opt)),
         std::invalid_argument);
-    EXPECT_THROW(
-        (void)engine::run_hwm_campaign_parallel(cfg, scua, {}, {}),
-        std::invalid_argument);
+    EXPECT_THROW((void)session.hwm(campaign_scenario(cfg, scua, {}, {})),
+                 std::invalid_argument);
 }
 
 TEST(CampaignEngine, ProgressCoversEveryRun) {
@@ -265,12 +282,11 @@ TEST(CampaignEngine, ProgressCoversEveryRun) {
     const Program scua =
         make_autobench(Autobench::kCanrdr, 0x0100'0000, 40, 2);
     engine::ProgressCounter progress;
-    engine::EngineOptions eng;
-    eng.jobs = 2;
-    eng.progress = &progress;
-    (void)engine::run_hwm_campaign_parallel(
-        cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign(),
-        eng);
+    Session session;
+    session.jobs(2).progress(&progress);
+    (void)session.hwm(campaign_scenario(
+        cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad),
+        small_campaign()));
     EXPECT_EQ(progress.total(), small_campaign().runs);
     EXPECT_EQ(progress.completed(), small_campaign().runs);
 }

@@ -370,10 +370,9 @@ TEST(KillAndRecover, ResumeAfterInjectedCrashMatchesReferenceAcrossJobs) {
         EXPECT_EQ(recovery.shards_rerun, plan.slice(1, 3).size());
 
         // Crash 2: a worker throws *mid-shard* while slice 1 re-runs
-        // in another process — nothing lands on disk at all.
-        const std::size_t victim = plan.slice(1, 3).first;
-        fault::FaultInjector::instance().arm(
-            "shard-throw@" + std::to_string(victim) + ":1");
+        // in another process — nothing lands on disk at all. The slice
+        // is the checkpoint call's only campaign: campaign index 0.
+        fault::FaultInjector::instance().arm("shard-throw@0:1");
         Session doomed;
         doomed.jobs(jobs);
         EXPECT_THROW(
@@ -611,9 +610,10 @@ TEST(FaultCli, BatchReportsFailedScenarioAndExitsFour) {
 
 TEST(FaultCli, UnhandledWorkerFailureExitsSeventyNotTerminate) {
     const InjectorGuard guard;
-    // The engine reduce path (pwcet has no scheduler supervision): the
-    // first shard worker throws, wait_idle rethrows, and the top-level
-    // catch-all must turn it into exit 70 naming the command.
+    // A standalone pwcet is a scheduler batch of one: the first shard
+    // item throws, the campaign fails, take() rethrows on the calling
+    // thread, and the top-level catch-all must turn it into exit 70
+    // naming the command.
     fault::FaultInjector::instance().arm("shard-throw:1");
     const CliResult r = invoke({"pwcet", "--runs", "40", "--seed", "7",
                                 "--block-size", "8", "--jobs", "2"});

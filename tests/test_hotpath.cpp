@@ -17,7 +17,8 @@
 #include "core/campaign.h"
 #include "core/estimator.h"
 #include "core/experiment.h"
-#include "engine/campaign_engine.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/machine_lease.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
@@ -232,10 +233,11 @@ TEST(HotPathDifferential, CampaignHwmsMatchAtEveryJobCount) {
     }
 
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-        engine::EngineOptions engine;
-        engine.jobs = jobs;
-        const HwmCampaignResult result = engine::run_hwm_campaign_parallel(
-            config, scua, contenders, options, engine);
+        Session session;
+        session.jobs(jobs);
+        const HwmCampaignResult result = session.hwm(
+            Scenario::on(config).scua(scua).contenders(contenders).protocol(
+                options));
         EXPECT_EQ(result.exec_times, reference) << "jobs " << jobs;
     }
 }

@@ -197,6 +197,32 @@ TEST(CampaignScheduler, DispatchAccountingAddsUp) {
     EXPECT_GE(counters[obs::kSchedSteals], 1u);
 }
 
+TEST(CampaignScheduler, StandaloneCampaignsAreBatchesOfOne) {
+    // Every Session campaign entry point drains through the scheduler:
+    // a lone pwcet dispatches its isolation item plus one item per plan
+    // shard, with the same accounting law as a batch.
+    const Scenario scenario =
+        small_scenario(MachineConfig::ngmp_ref(), 40, 5);
+    const std::size_t expected_items =
+        engine::ReducePlan::for_count(40).shards() + 1;
+
+    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
+    registry.reset();
+    registry.enable();
+    Session session;
+    session.jobs(2);
+    (void)session.pwcet(scenario, PwcetSpec{});
+    const obs::CounterSnapshot counters = registry.counters();
+    registry.disable();
+
+    EXPECT_EQ(counters[obs::kSchedItemsEnqueued], expected_items);
+    EXPECT_EQ(counters[obs::kSchedDispatches], expected_items);
+    EXPECT_EQ(counters[obs::kSchedAffinityHits] +
+                  counters[obs::kSchedSteals],
+              counters[obs::kSchedDispatches]);
+    EXPECT_EQ(counters[obs::kShardsCompleted], expected_items - 1);
+}
+
 TEST(CampaignScheduler, BatchProgressTicksAggregateAndPerCampaign) {
     const std::vector<BatchItem> items = heterogeneous_batch();
     sched::BatchProgress monitor;
@@ -238,18 +264,19 @@ TEST(CampaignScheduler, RunsExactlyOnce) {
     sched::CampaignScheduler scheduler(pool);
     const Scenario scenario =
         small_scenario(MachineConfig::ngmp_ref(), 4, 1);
-    sched::PwcetCampaignWork work;
-    work.config = scenario.config();
-    work.scua = scenario.scua_program();
-    work.contenders = scenario.contender_programs();
-    work.options.protocol = scenario.run_protocol();
-    ASSERT_EQ(scheduler.add(std::move(work)), 0u);
+    sched::CampaignWork work;
+    work.inputs.config = scenario.config();
+    work.inputs.scua = scenario.scua_program();
+    work.inputs.contenders = scenario.contender_programs();
+    work.inputs.protocol = scenario.run_protocol();
+    ASSERT_EQ(scheduler.add(std::move(work), engine::PwcetKind{}), 0u);
     EXPECT_EQ(scheduler.work_items(),
               engine::ReducePlan::for_count(4).shards() + 1);
     scheduler.run();
     EXPECT_THROW(scheduler.run(), std::invalid_argument);
-    (void)scheduler.take(0);
-    EXPECT_THROW((void)scheduler.take(0), std::invalid_argument);
+    (void)scheduler.take<engine::PwcetKind>(0);
+    EXPECT_THROW((void)scheduler.take<engine::PwcetKind>(0),
+                 std::invalid_argument);
 }
 
 TEST(BatchSpec, ParsesAndMaterializesLikeTheCli) {
@@ -325,6 +352,13 @@ TEST(BatchSpec, RejectsMalformedInput) {
     EXPECT_THROW(
         (void)sched::parse_batch_spec("[scenario a]\nblock-size = 0\n"),
         std::invalid_argument);
+    // Run counts stop at the campaign ceiling; numbers must fit 64 bits.
+    EXPECT_THROW(
+        (void)sched::parse_batch_spec("[scenario a]\nruns = 1000000000001\n"),
+        std::invalid_argument);
+    EXPECT_THROW((void)sched::parse_batch_spec(
+                     "[scenario a]\nseed = 99999999999999999999999\n"),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/config.h"
+#include "sched/campaign_scheduler.h"
 
 namespace rrb {
 namespace {
@@ -145,7 +146,23 @@ TEST(Session, HwmIsBitIdenticalToLegacyCampaignAcrossSeedsAndJobs) {
     }
 }
 
-TEST(Session, PwcetMatchesEngineEntryPoint) {
+/// The scenario as one campaign of `kind` on a one-worker scheduler —
+/// the layer every Session campaign entry point lowers to.
+template <typename Kind>
+typename Kind::Result scheduled(const Scenario& scenario, const Kind& kind) {
+    engine::ThreadPool pool(1);
+    sched::CampaignScheduler scheduler(pool);
+    sched::CampaignWork work;
+    work.inputs.config = scenario.config();
+    work.inputs.scua = scenario.scua_program();
+    work.inputs.contenders = scenario.contender_programs();
+    work.inputs.protocol = scenario.run_protocol();
+    scheduler.add(std::move(work), kind);
+    scheduler.run();
+    return engine::finalize(kind, scheduler.take<Kind>(0));
+}
+
+TEST(Session, PwcetMatchesSchedulerCampaign) {
     const Scenario scenario = small_scenario(/*seed=*/7, /*runs=*/48);
     PwcetSpec spec;
     spec.block_size = 8;
@@ -154,14 +171,8 @@ TEST(Session, PwcetMatchesEngineEntryPoint) {
     Session session;
     session.jobs(4);
     const PwcetCampaignResult facade = session.pwcet(scenario, spec);
-
-    PwcetCampaignOptions options;
-    options.protocol = scenario.run_protocol();
-    options.block_size = spec.block_size;
-    options.exceedance = spec.exceedance;
-    const PwcetCampaignResult engine = engine::run_pwcet_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options);
+    const PwcetCampaignResult engine = scheduled(
+        scenario, engine::PwcetKind{spec.block_size, spec.exceedance});
 
     EXPECT_EQ(facade.high_water_mark, engine.high_water_mark);
     EXPECT_EQ(facade.mean, engine.mean);
@@ -172,17 +183,14 @@ TEST(Session, PwcetMatchesEngineEntryPoint) {
     EXPECT_EQ(facade.quantiles[0].pwcet, engine.quantiles[0].pwcet);
 }
 
-TEST(Session, WhiteboxMatchesEngineEntryPoint) {
+TEST(Session, WhiteboxMatchesSchedulerCampaign) {
     const Scenario scenario = small_scenario(/*seed=*/5, /*runs=*/8);
     Session session;
     session.jobs(2);
     const engine::WhiteboxCampaignResult facade =
         session.whitebox(scenario);
     const engine::WhiteboxCampaignResult reference =
-        engine::run_whitebox_campaign(scenario.config(),
-                                      scenario.scua_program(),
-                                      scenario.contender_programs(),
-                                      scenario.run_protocol());
+        scheduled(scenario, engine::WhiteboxKind{});
     EXPECT_EQ(facade.stats.runs(), reference.stats.runs());
     EXPECT_EQ(facade.stats.max_gamma(), reference.stats.max_gamma());
     EXPECT_EQ(facade.stats.exec_times().values(),
