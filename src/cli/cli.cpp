@@ -278,6 +278,20 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
             if (!value) flags.error = std::string(name) + " needs a number";
             return value;
         };
+        // A 32-bit flag (core count, k, nop latency): values that do not
+        // fit fail the parse instead of wrapping.
+        auto next_u32 = [&](const char* name)
+            -> std::optional<std::uint32_t> {
+            const auto value = next_number(name);
+            if (!value) return std::nullopt;
+            if (*value > std::numeric_limits<std::uint32_t>::max()) {
+                flags.error =
+                    std::string(name) + " must be at most " +
+                    std::to_string(std::numeric_limits<std::uint32_t>::max());
+                return std::nullopt;
+            }
+            return static_cast<std::uint32_t>(*value);
+        };
         auto next_number_list = [&](const char* name, std::uint64_t max)
             -> std::optional<std::vector<std::uint64_t>> {
             if (i + 1 >= args.size()) {
@@ -322,24 +336,20 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
             break;
         }
         if (arg == "--cores") {
-            if (const auto v = next_number("--cores")) {
-                flags.cores = static_cast<CoreId>(*v);
-            }
+            if (const auto v = next_u32("--cores")) flags.cores = *v;
         } else if (arg == "--lbus") {
             if (const auto v = next_number("--lbus")) flags.lbus = *v;
         } else if (arg == "--var") {
             flags.variant = true;
         } else if (arg == "--kmax") {
-            if (const auto v = next_number("--kmax")) {
-                flags.k_max = static_cast<std::uint32_t>(*v);
-            }
+            if (const auto v = next_u32("--kmax")) flags.k_max = *v;
         } else if (arg == "--iterations") {
             if (const auto v = next_number("--iterations")) {
                 flags.iterations = *v;
             }
         } else if (arg == "--nop-latency") {
-            if (const auto v = next_number("--nop-latency")) {
-                flags.nop_latency = static_cast<std::uint32_t>(*v);
+            if (const auto v = next_u32("--nop-latency")) {
+                flags.nop_latency = *v;
             }
         } else if (arg == "--store-span") {
             flags.store_span = true;

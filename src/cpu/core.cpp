@@ -62,6 +62,7 @@ void InOrderCore::restart(Cycle start_delay) {
     store_buffer_.clear();
     drain_in_flight_ = false;
     prev_load_completion_ = kNoCycle;
+    stall_pmc_ = nullptr;
     fetch_memo_line_ = kNoCycle;
     fetch_memo_tick_ = 0;
     attr_cause_dirty_ = true;  // pending resets to kIdle when (re)armed
@@ -109,6 +110,22 @@ void InOrderCore::start_drain_if_needed(Cycle now) {
     port_.request(BusOp::kDataStore, addr, now, BusSlot::kStoreDrain);
 }
 
+Cycle InOrderCore::stall(std::uint64_t CoreStats::*pmc, Cycle now) noexcept {
+    ++(stats_.*pmc);
+    stall_pmc_ = pmc;
+    stall_since_ = now;
+    // Only a drain completion can clear either stall, and the core is
+    // ticked in that completion's cycle — the cycle a per-cycle retry
+    // would first succeed in — so nothing need tick it before.
+    return kNoCycle;
+}
+
+void InOrderCore::settle_stall(Cycle end) noexcept {
+    if (stall_pmc_ == nullptr) return;
+    stats_.*stall_pmc_ += end - 1 - stall_since_;
+    stall_since_ = end - 1;
+}
+
 void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
     switch (slot) {
         case BusSlot::kIfetch:
@@ -143,6 +160,14 @@ void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
             store_buffer_.pop_front();
             drain_in_flight_ = false;
             ++stats_.store_drains;
+            if (stall_pmc_ != nullptr) {
+                // The only wake of a stalled core: it is ticked again
+                // this cycle and retries (re-entering the stall if it
+                // has not cleared). The cycles since the last charged
+                // one went un-ticked but were stalled all the same.
+                settle_stall(completion);
+                stall_pmc_ = nullptr;
+            }
             return;
     }
     RRB_ENSURE(false);
@@ -228,7 +253,6 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
             // stores.
             if (config_.loads_wait_store_buffer &&
                 (drain_in_flight_ || !store_buffer_.empty())) {
-                ++stats_.load_gate_stall_cycles;
                 if (attr_ != nullptr) {
                     // Settle the lazy tail (compute since the last
                     // charge) before the cause changes.
@@ -236,7 +260,7 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
                     attr_->set_pending(id_, StallCause::kStoreGate);
                     attr_cause_dirty_ = true;
                 }
-                return now + 1;  // retry next cycle
+                return stall(&CoreStats::load_gate_stall_cycles, now);
             }
             ++stats_.loads;
             const Addr addr = instr.addr.address(iteration_);
@@ -260,13 +284,12 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
             // The head entry stays in the buffer while its drain is in
             // flight, so the buffer size alone is the occupancy.
             if (store_buffer_.size() >= config_.store_buffer_entries) {
-                ++stats_.store_full_stall_cycles;
                 if (attr_ != nullptr) {
                     attr_->charge(id_, attr_->pending(id_), now);
                     attr_->set_pending(id_, StallCause::kStoreBufferFull);
                     attr_cause_dirty_ = true;
                 }
-                return now + 1;  // retry next cycle
+                return stall(&CoreStats::store_full_stall_cycles, now);
             }
             ++stats_.stores;
             const Addr addr = instr.addr.address(iteration_);
@@ -362,8 +385,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             }
             if (config_.loads_wait_store_buffer &&
                 (drain_in_flight_ || !store_buffer_.empty())) {
-                ++stats_.load_gate_stall_cycles;
-                return now + 1;  // retry next cycle
+                return stall(&CoreStats::load_gate_stall_cycles, now);
             }
             ++stats_.loads;
             if (op.kind == replay::MicroOp::Kind::kLoadHit) {
@@ -402,8 +424,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
                 fetched_ = true;
             }
             if (store_buffer_.size() >= config_.store_buffer_entries) {
-                ++stats_.store_full_stall_cycles;
-                return now + 1;  // retry next cycle
+                return stall(&CoreStats::store_full_stall_cycles, now);
             }
             ++stats_.stores;
             dl1_.replay_write(

@@ -140,18 +140,31 @@ public:
     /// same program installed.
     void reset();
 
-    /// Advances one cycle. Call exactly once per cycle, after bus
-    /// completions have been delivered for this cycle. Returns the
-    /// earliest future cycle at which this core can do observable work
-    /// again, given no bus completion arrives first: a concrete cycle
-    /// when it is idle until next_free_ (start delays, multi-cycle
-    /// nops, retired tail) or retrying a stall next cycle (stall PMCs
-    /// charge per cycle, so stalls are never skippable), and kNoCycle
-    /// when only a bus completion can unblock it (in-flight miss or
-    /// fetch, drains pending, done). The machine's cycle skipper
-    /// consumes this without a second state scan; other callers may
-    /// ignore it.
+    /// Advances one cycle. Call after bus completions have been
+    /// delivered for this cycle, at least at every cycle the previous
+    /// tick returned and at every cycle one of this core's transactions
+    /// completes. Returns the earliest future cycle at which this core
+    /// can do observable work again, given no bus completion arrives
+    /// first: a concrete cycle when it is idle until next_free_ (start
+    /// delays, multi-cycle nops, retired tail), and kNoCycle when only a
+    /// bus completion can unblock it (in-flight miss or fetch, drains
+    /// pending, a full store buffer or a closed store gate, done). The
+    /// machine's cycle skipper consumes this without a second state
+    /// scan; other callers may ignore it.
+    ///
+    /// Stall PMCs stay per-cycle exact without per-cycle ticks: a stall
+    /// charges the cycle it starts in, and the drain completion that
+    /// wakes the core adds the cycles it was not ticked for before the
+    /// retry. Ticking a stalled core every cycle counts the same.
     Cycle tick(Cycle now);
+
+    /// Adds the stall cycles a run ending at `end` (exclusive) never
+    /// ticked to the pending stall PMC; the stall stays pending. The
+    /// machine calls this for every core when run()/run_core() stop —
+    /// the scua finished while a contender was stalled, or the deadline
+    /// hit — so the counters equal per-cycle stepping's. Idempotent at
+    /// a fixed `end`; a no-op for a core that is not stalled.
+    void settle_stall(Cycle end) noexcept;
 
     /// Completion dispatch: the bus transaction for `slot` finished at
     /// `completion`. Called by the machine (or a test port) exactly once
@@ -213,6 +226,9 @@ public:
 
 private:
     void start_drain_if_needed(Cycle now);
+    /// Enters (or re-enters) a store-full / store-gate stall at `now`:
+    /// charges `pmc` for this cycle and returns kNoCycle.
+    Cycle stall(std::uint64_t CoreStats::*pmc, Cycle now) noexcept;
     /// Executes at cycle `now`, returning the core's next event cycle
     /// (each terminal branch knows it outright).
     Cycle execute_instruction(Cycle now);
@@ -279,6 +295,12 @@ private:
     bool attr_cause_dirty_ = true;
 
     CoreStats stats_;
+
+    // Pending stall: the PMC it charges (null when not stalled) and the
+    // last cycle already charged to it. Last, so the per-tick state
+    // above keeps its cache-line layout.
+    std::uint64_t CoreStats::*stall_pmc_ = nullptr;
+    Cycle stall_since_ = 0;
 };
 
 }  // namespace rrb

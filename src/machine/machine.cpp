@@ -325,6 +325,14 @@ Cycle Machine::step_or_skip(Cycle next_hint, Cycle limit) {
     return step();
 }
 
+void Machine::settle_stalls() noexcept {
+    // Stalled cores were last ticked when their stall began (or was
+    // re-entered); every cycle up to now_ was stalled all the same.
+    for (std::unique_ptr<InOrderCore>& core : cores_) {
+        core->settle_stall(now_);
+    }
+}
+
 RunResult Machine::run(Cycle max_cycles) {
     const Cycle start = now_;
     const Cycle limit = start + max_cycles;
@@ -338,6 +346,7 @@ RunResult Machine::run(Cycle max_cycles) {
     while (!all_done() && now_ < limit) {
         next_hint = step_or_skip(next_hint, limit);
     }
+    settle_stalls();
 
     RunResult result;
     result.cycles = now_ - start;
@@ -361,6 +370,7 @@ Cycle Machine::run_core(CoreId core_id, Cycle max_cycles) {
     while (!target.done() && now_ < limit) {
         next_hint = step_or_skip(next_hint, limit);
     }
+    settle_stalls();
     return target.done() ? target.finish_cycle() : kNoCycle;
 }
 

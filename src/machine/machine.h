@@ -218,9 +218,14 @@ private:
     /// One loop iteration of run(): either fast-forwards now_ to the
     /// earliest component event (never beyond `limit`) or simulates one
     /// cycle. `next_hint` is the previous step's return value (pass
-    /// now() initially). Stall PMCs of skipped cycles are charged in
-    /// bulk so both modes report identical statistics.
+    /// now() initially).
     Cycle step_or_skip(Cycle next_hint, Cycle limit);
+    /// End of run()/run_core(): charges every still-stalled core's
+    /// stall PMC through now_ - 1 (InOrderCore::settle_stall). A stalled
+    /// core is not ticked until its drain completes, so a run that stops
+    /// first — the scua finished, or the deadline hit — would otherwise
+    /// under-count its contenders' stall cycles.
+    void settle_stalls() noexcept;
 
     MachineConfig config_;
     std::unique_ptr<Bus> bus_;

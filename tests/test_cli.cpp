@@ -751,6 +751,25 @@ TEST(Cli, RunCountsAboveTheCeilingAreRejectedNamingTheFlag) {
     EXPECT_NE(wide.err.find("--runs needs a number"), std::string::npos);
 }
 
+TEST(Cli, ThirtyTwoBitFlagsRejectValuesThatDoNotFitNamingTheFlag) {
+    // 2^32 + 1 used to wrap to 1: `contention --cores 4294967297` ran a
+    // single core and reported "bounded: yes".
+    const std::vector<std::vector<std::string>> cases = {
+        {"contention", "--cores", "4294967297"},
+        {"pwcet", "--cores", "4294967296"},
+        {"estimate", "--kmax", "4294967297"},
+        {"calibrate", "--nop-latency", "4294967296"},
+    };
+    for (const std::vector<std::string>& args : cases) {
+        const CliResult r = invoke(args);
+        EXPECT_EQ(r.code, 1) << args[0] << " " << args[1];
+        EXPECT_NE(r.err.find(args[1] + " must be at most 4294967295"),
+                  std::string::npos)
+            << args[0] << ": " << r.err;
+        EXPECT_EQ(r.out.find("bounded"), std::string::npos) << r.out;
+    }
+}
+
 TEST(Cli, BatchSpecRunCountAboveTheCeilingNamesKeyAndLine) {
     const std::string spec = testing::TempDir() + "rrb_huge_runs.spec";
     {

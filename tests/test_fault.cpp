@@ -342,6 +342,14 @@ TEST(KillAndRecover, ResumeAfterInjectedCrashMatchesReferenceAcrossJobs) {
         const std::string p0 = temp_path("kill_0_j" + tag);
         const std::string p1 = temp_path("kill_1_j" + tag);
         const std::string p2 = temp_path("kill_2_j" + tag);
+        // Start clean: a failed earlier run of this test leaves its
+        // slices (and save/quarantine siblings) in the shared TempDir,
+        // and a stale p1 would fail the "never appears" checks below.
+        for (const std::string& path : {p0, p1, p2}) {
+            for (const char* suffix : {"", ".tmp", ".corrupt"}) {
+                std::filesystem::remove(path + suffix);
+            }
+        }
         Session worker;
         worker.jobs(jobs);
         (void)worker.checkpoint(scenario, spec, {0, 3}, p0);
