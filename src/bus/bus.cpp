@@ -290,8 +290,13 @@ const BusCoreCounters& Bus::counters(CoreId core) const {
 
 double Bus::utilization(Cycle elapsed) const {
     RRB_REQUIRE(elapsed > 0, "elapsed must be positive");
-    return static_cast<double>(total_busy_cycles_) /
-           static_cast<double>(elapsed);
+    // grant() charges a transaction's whole duration up front; the part
+    // of the in-flight one at or past `elapsed` has not happened yet.
+    std::uint64_t busy = total_busy_cycles_;
+    if (has_active_ && busy_until_ > elapsed) {
+        busy -= std::min<Cycle>(busy_until_ - elapsed, active_.duration);
+    }
+    return static_cast<double>(busy) / static_cast<double>(elapsed);
 }
 
 void Bus::reset_counters() {

@@ -153,7 +153,9 @@ public:
         return total_busy_cycles_;
     }
     /// Bus utilization over [0, elapsed): fraction of cycles the bus was
-    /// occupied. This is the confidence check of Section 4.3.
+    /// occupied. This is the confidence check of Section 4.3. An in-flight
+    /// transaction counts only its cycles before `elapsed`, so the value
+    /// never exceeds 1 (total_busy_cycles() charges it whole at grant).
     [[nodiscard]] double utilization(Cycle elapsed) const;
 
     void reset_counters();

@@ -7,14 +7,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,453 +33,7 @@ namespace rrb::cli {
 
 namespace {
 
-struct ParsedFlags {
-    std::optional<CoreId> cores;
-    std::optional<Cycle> lbus;
-    bool variant = false;
-    std::uint32_t k_max = 70;
-    std::uint64_t iterations = 40;
-    std::uint32_t nop_latency = 1;
-    bool store_span = false;
-    std::optional<std::size_t> runs;  ///< default is per command
-    std::uint64_t seed = 1;
-    std::size_t jobs = 0;  ///< 0 = hardware concurrency
-    std::size_t block_size = 50;
-    std::vector<double> exceedances;  ///< empty = pwcet defaults
-    std::vector<CoreId> cores_axis;
-    std::vector<Cycle> lbus_axis;
-    std::vector<ArbiterKind> arbiter_axis;
-    std::optional<SliceSpec> shard;  ///< --shard i/N
-    std::string checkpoint_out;
-    std::string out_dir = ".";      ///< --out-dir: batch checkpoint dir
-    std::string telemetry_out;      ///< --telemetry: JSON run report path
-    std::string trace_out;          ///< --trace: Chrome-trace JSON path
-    std::uint64_t heartbeat = 0;    ///< --heartbeat: seconds, 0 = off
-    /// --max-regression-pct: telemetry-diff gate threshold; disengaged =
-    /// report-only (never exit 3).
-    std::optional<double> max_regression_pct;
-    std::vector<std::string> inputs;  ///< positional args (merge files)
-    std::string csv_path;
-    std::string error;  ///< non-empty when parsing failed
-};
-
-/// Which flags each command accepts. Parsing rejects — with a non-zero
-/// exit naming the flag — both flags nothing knows and flags that
-/// exist but do not apply to the command at hand: a silently ignored
-/// `calibrate --runs 5` would report numbers for a campaign that never
-/// ran.
-struct CommandSpec {
-    std::string_view name;
-    std::vector<std::string_view> flags;
-    /// Accepts positional (non-flag) arguments — checkpoint files for
-    /// `merge`. Everywhere else a stray positional fails the parse.
-    bool takes_files = false;
-};
-
-const std::vector<CommandSpec>& command_specs() {
-    static const std::vector<CommandSpec> specs = {
-        {"estimate",
-         {"--cores", "--lbus", "--var", "--kmax", "--iterations",
-          "--nop-latency", "--store-span", "--csv"}},
-        {"calibrate", {"--cores", "--lbus", "--var", "--nop-latency"}},
-        {"baseline", {"--cores", "--lbus", "--var", "--iterations"}},
-        {"isolation",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"contention",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"slowdown",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"campaign",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
-        {"attribution",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
-        {"pwcet",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--block-size", "--exceedance", "--shard",
-          "--checkpoint-out", "--telemetry", "--heartbeat", "--trace"}},
-        {"batch",
-         {"--out-dir", "--jobs", "--telemetry", "--heartbeat"},
-         /*takes_files=*/true},
-        {"merge", {"--telemetry"}, /*takes_files=*/true},
-        {"whitebox",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--shard", "--checkpoint-out", "--telemetry",
-          "--heartbeat", "--trace"}},
-        {"merge-whitebox", {"--telemetry"}, /*takes_files=*/true},
-        {"sweep",
-         {"--cores", "--lbus", "--var", "--kmax", "--iterations", "--csv"}},
-        {"sweep-pwcet",
-         {"--var", "--cores-axis", "--lbus-axis", "--arbiter-axis",
-          "--runs", "--seed", "--jobs", "--iterations", "--block-size",
-          "--exceedance", "--telemetry", "--heartbeat", "--trace"}},
-        {"telemetry-diff", {"--max-regression-pct"}, /*takes_files=*/true},
-    };
-    return specs;
-}
-
-const CommandSpec* find_command(std::string_view name) {
-    for (const CommandSpec& spec : command_specs()) {
-        if (spec.name == name) return &spec;
-    }
-    return nullptr;
-}
-
-std::optional<std::uint64_t> parse_number(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') return std::nullopt;
-        const auto digit = static_cast<std::uint64_t>(c - '0');
-        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) /
-                        10) {
-            return std::nullopt;  // does not fit in 64 bits
-        }
-        value = value * 10 + digit;
-    }
-    return value;
-}
-
-/// Splits "a,b,c" into items. An empty text yields no items; a
-/// trailing comma yields a trailing empty item (getline would drop it,
-/// and "2," silently becoming {"2"} is exactly the kind of half-parsed
-/// input the flag validators exist to reject).
-std::vector<std::string> split_list(const std::string& text) {
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream stream(text);
-    while (std::getline(stream, item, ',')) items.push_back(item);
-    if (!text.empty() && text.back() == ',') items.emplace_back();
-    return items;
-}
-
-/// Comma-separated number list ("2,4,8"), each value capped at `max` —
-/// a value that would truncate on the way into a narrower config field
-/// must fail the parse, not run a grid the user never asked for. On
-/// failure `values` is empty and `error` says which item and why.
-struct NumberListParse {
-    std::vector<std::uint64_t> values;
-    std::string error;
-};
-
-NumberListParse parse_number_list(const std::string& text,
-                                  std::uint64_t max) {
-    NumberListParse result;
-    const std::vector<std::string> items = split_list(text);
-    if (items.empty()) {
-        result.error = "needs a comma-separated list of numbers";
-        return result;
-    }
-    for (const std::string& item : items) {
-        const auto value = parse_number(item);
-        if (!value) {
-            result.values.clear();
-            result.error = "has a non-number item '" + item + "'";
-            return result;
-        }
-        if (*value > max) {
-            result.values.clear();
-            result.error = "value " + item + " is out of range (max " +
-                           std::to_string(max) + ")";
-            return result;
-        }
-        result.values.push_back(*value);
-    }
-    return result;
-}
-
-/// Strict full-string double parse ("1e-9", "0.001"). No partial reads.
-std::optional<double> parse_probability(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (!(value > 0.0 && value < 1.0)) return std::nullopt;
-    return value;
-}
-
-/// Strict full-string non-negative percentage ("5", "2.5", "0").
-std::optional<double> parse_percentage(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (!(value >= 0.0)) return std::nullopt;
-    return value;
-}
-
-/// "--shard i/N": run slice i of N (0-based, i < N). Half-typed or
-/// out-of-range specs fail the parse with a message naming the flag —
-/// "--shard 4/4" silently running the wrong slice would poison a whole
-/// distributed campaign.
-std::optional<SliceSpec> parse_shard(const std::string& text,
-                                     std::string& error) {
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos) {
-        error = "--shard needs the form i/N, e.g. 0/4";
-        return std::nullopt;
-    }
-    const auto index = parse_number(text.substr(0, slash));
-    const auto count = parse_number(text.substr(slash + 1));
-    if (!index || !count) {
-        error = "--shard needs the form i/N, e.g. 0/4";
-        return std::nullopt;
-    }
-    if (*count == 0) {
-        error = "--shard slice count must be at least 1";
-        return std::nullopt;
-    }
-    if (*index >= *count) {
-        error = "--shard index " + std::to_string(*index) +
-                " must be below the slice count " + std::to_string(*count);
-        return std::nullopt;
-    }
-    return SliceSpec{static_cast<std::size_t>(*index),
-                     static_cast<std::size_t>(*count)};
-}
-
-std::optional<ArbiterKind> parse_arbiter(const std::string& text) {
-    if (text == "rr") return ArbiterKind::kRoundRobin;
-    if (text == "tdma") return ArbiterKind::kTdma;
-    if (text == "wrr") return ArbiterKind::kWeightedRoundRobin;
-    if (text == "fixed") return ArbiterKind::kFixedPriority;
-    return std::nullopt;
-}
-
-const char* arbiter_name(ArbiterKind kind) {
-    switch (kind) {
-        case ArbiterKind::kRoundRobin: return "rr";
-        case ArbiterKind::kTdma: return "tdma";
-        case ArbiterKind::kWeightedRoundRobin: return "wrr";
-        case ArbiterKind::kFixedPriority: return "fixed";
-    }
-    return "?";
-}
-
-ParsedFlags parse_flags(const std::vector<std::string>& args,
-                        std::size_t first, const CommandSpec& command) {
-    ParsedFlags flags;
-    const auto allowed = [&command](std::string_view flag) {
-        return std::find(command.flags.begin(), command.flags.end(),
-                         flag) != command.flags.end();
-    };
-    for (std::size_t i = first; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        auto next_number = [&](const char* name)
-            -> std::optional<std::uint64_t> {
-            if (i + 1 >= args.size()) {
-                flags.error = std::string(name) + " needs a value";
-                return std::nullopt;
-            }
-            const auto value = parse_number(args[++i]);
-            if (!value) flags.error = std::string(name) + " needs a number";
-            return value;
-        };
-        // A 32-bit flag (core count, k, nop latency): values that do not
-        // fit fail the parse instead of wrapping.
-        auto next_u32 = [&](const char* name)
-            -> std::optional<std::uint32_t> {
-            const auto value = next_number(name);
-            if (!value) return std::nullopt;
-            if (*value > std::numeric_limits<std::uint32_t>::max()) {
-                flags.error =
-                    std::string(name) + " must be at most " +
-                    std::to_string(std::numeric_limits<std::uint32_t>::max());
-                return std::nullopt;
-            }
-            return static_cast<std::uint32_t>(*value);
-        };
-        auto next_number_list = [&](const char* name, std::uint64_t max)
-            -> std::optional<std::vector<std::uint64_t>> {
-            if (i + 1 >= args.size()) {
-                flags.error = std::string(name) +
-                              " needs a comma-separated list of numbers";
-                return std::nullopt;
-            }
-            NumberListParse parsed = parse_number_list(args[++i], max);
-            if (!parsed.error.empty()) {
-                flags.error = std::string(name) + " " + parsed.error;
-                return std::nullopt;
-            }
-            return std::move(parsed.values);
-        };
-        if (arg.empty() || arg[0] != '-') {
-            // Positional argument: a checkpoint file for `merge`, an
-            // error anywhere else (a mistyped flag value would
-            // otherwise configure an experiment the user never asked
-            // for).
-            if (command.takes_files) {
-                flags.inputs.push_back(arg);
-                continue;
-            }
-            flags.error = "unexpected argument '" + arg + "'";
-            break;
-        }
-        if (!allowed(arg)) {
-            // One message when the flag exists for another command,
-            // another when nothing knows it — both fail the parse.
-            bool known = false;
-            for (const CommandSpec& spec : command_specs()) {
-                if (std::find(spec.flags.begin(), spec.flags.end(), arg) !=
-                    spec.flags.end()) {
-                    known = true;
-                    break;
-                }
-            }
-            flags.error = known
-                              ? arg + " does not apply to the '" +
-                                    std::string(command.name) + "' command"
-                              : "unknown flag: " + arg;
-            break;
-        }
-        if (arg == "--cores") {
-            if (const auto v = next_u32("--cores")) flags.cores = *v;
-        } else if (arg == "--lbus") {
-            if (const auto v = next_number("--lbus")) flags.lbus = *v;
-        } else if (arg == "--var") {
-            flags.variant = true;
-        } else if (arg == "--kmax") {
-            if (const auto v = next_u32("--kmax")) flags.k_max = *v;
-        } else if (arg == "--iterations") {
-            if (const auto v = next_number("--iterations")) {
-                flags.iterations = *v;
-            }
-        } else if (arg == "--nop-latency") {
-            if (const auto v = next_u32("--nop-latency")) {
-                flags.nop_latency = *v;
-            }
-        } else if (arg == "--store-span") {
-            flags.store_span = true;
-        } else if (arg == "--runs") {
-            if (const auto v = next_number("--runs")) {
-                if (*v > kMaxCampaignRuns) {
-                    flags.error = "--runs must be at most " +
-                                  std::to_string(kMaxCampaignRuns);
-                } else {
-                    flags.runs = static_cast<std::size_t>(*v);
-                }
-            }
-        } else if (arg == "--seed") {
-            if (const auto v = next_number("--seed")) flags.seed = *v;
-        } else if (arg == "--jobs") {
-            if (const auto v = next_number("--jobs")) {
-                flags.jobs = static_cast<std::size_t>(*v);
-            }
-        } else if (arg == "--block-size") {
-            if (const auto v = next_number("--block-size")) {
-                flags.block_size = static_cast<std::size_t>(*v);
-            }
-        } else if (arg == "--shard") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--shard needs a value like 0/4";
-            } else {
-                flags.shard = parse_shard(args[++i], flags.error);
-            }
-        } else if (arg == "--checkpoint-out") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--checkpoint-out needs a path";
-            } else {
-                flags.checkpoint_out = args[++i];
-            }
-        } else if (arg == "--out-dir") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--out-dir needs a path";
-            } else {
-                flags.out_dir = args[++i];
-            }
-        } else if (arg == "--telemetry") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--telemetry needs a path";
-            } else {
-                flags.telemetry_out = args[++i];
-            }
-        } else if (arg == "--trace") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--trace needs a path";
-            } else {
-                flags.trace_out = args[++i];
-            }
-        } else if (arg == "--max-regression-pct") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--max-regression-pct needs a value";
-            } else if (const auto pct = parse_percentage(args[++i])) {
-                flags.max_regression_pct = *pct;
-            } else {
-                flags.error = "--max-regression-pct needs a non-negative "
-                              "percentage, e.g. 5 or 2.5";
-            }
-        } else if (arg == "--heartbeat") {
-            if (const auto v = next_number("--heartbeat")) {
-                if (*v == 0) {
-                    flags.error =
-                        "--heartbeat needs at least 1 (seconds)";
-                } else {
-                    flags.heartbeat = *v;
-                }
-            }
-        } else if (arg == "--exceedance") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--exceedance needs a value";
-            } else if (const auto p = parse_probability(args[++i])) {
-                flags.exceedances.push_back(*p);
-            } else {
-                flags.error =
-                    "--exceedance needs a probability in (0,1), e.g. 1e-9";
-            }
-        } else if (arg == "--csv") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--csv needs a path";
-            } else {
-                flags.csv_path = args[++i];
-            }
-        } else if (arg == "--cores-axis") {
-            if (const auto vs = next_number_list(
-                    "--cores-axis", std::numeric_limits<CoreId>::max())) {
-                for (const std::uint64_t v : *vs) {
-                    flags.cores_axis.push_back(static_cast<CoreId>(v));
-                }
-            }
-        } else if (arg == "--lbus-axis") {
-            if (const auto vs = next_number_list(
-                    "--lbus-axis", std::numeric_limits<Cycle>::max())) {
-                for (const std::uint64_t v : *vs) {
-                    flags.lbus_axis.push_back(static_cast<Cycle>(v));
-                }
-            }
-        } else if (arg == "--arbiter-axis") {
-            if (i + 1 >= args.size()) {
-                flags.error = "--arbiter-axis needs a comma-separated list "
-                              "of rr,tdma,wrr,fixed";
-            } else {
-                const std::vector<std::string> items =
-                    split_list(args[++i]);
-                for (const std::string& item : items) {
-                    const auto kind = parse_arbiter(item);
-                    if (!kind) {
-                        flags.error = "--arbiter-axis: unknown arbiter '" +
-                                      item + "' (rr, tdma, wrr, fixed)";
-                        break;
-                    }
-                    flags.arbiter_axis.push_back(*kind);
-                }
-                if (flags.error.empty() && items.empty()) {
-                    flags.error = "--arbiter-axis needs a comma-separated "
-                                  "list of rr,tdma,wrr,fixed";
-                }
-            }
-        } else {
-            flags.error = "unknown flag: " + arg;
-        }
-        if (!flags.error.empty()) break;
-    }
-    return flags;
-}
-
-/// Live progress for long campaigns: a background thread polls the
+/// Live progress for long campaigns: a background thread polls a
 /// ProgressCounter and prints a status line to `err` until destruction.
 /// Two modes: by default one line per 5 percentage points (long
 /// campaigns only — short ones stay silent so command output, which the
@@ -495,11 +50,49 @@ public:
 
     ProgressReporter(const engine::ProgressCounter& progress,
                      std::ostream& err, std::size_t total_runs,
-                     std::uint64_t heartbeat_sec = 0,
-                     std::size_t workers = 0) {
+                     std::uint64_t heartbeat_sec, std::size_t workers) {
         if (heartbeat_sec == 0 && total_runs < kMinRuns) return;
-        thread_ = std::thread([this, &progress, &err, heartbeat_sec,
-                               workers] {
+        start(progress, err, heartbeat_sec, workers,
+              [&progress](obs::HeartbeatMeter& meter) {
+                  return meter.sample(progress);
+              });
+    }
+
+    /// Batch form: the aggregate line plus one per-scenario chip
+    /// (HeartbeatMeter's multi-campaign form), so concurrent
+    /// heterogeneous campaigns report on one stderr line instead of
+    /// interleaving.
+    ProgressReporter(const sched::BatchProgress& monitor, std::ostream& err,
+                     std::uint64_t heartbeat_sec, std::size_t workers) {
+        if (heartbeat_sec == 0 && monitor.aggregate().total() < kMinRuns) {
+            return;
+        }
+        start(monitor.aggregate(), err, heartbeat_sec, workers,
+              [&monitor, campaigns = monitor.samples()](
+                  obs::HeartbeatMeter& meter) {
+                  return meter.sample(monitor.aggregate(), campaigns);
+              });
+    }
+
+    ~ProgressReporter() {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+        }
+        done_cv_.notify_all();
+        if (thread_.joinable()) thread_.join();
+    }
+
+    ProgressReporter(const ProgressReporter&) = delete;
+    ProgressReporter& operator=(const ProgressReporter&) = delete;
+
+private:
+    template <typename Sample>
+    void start(const engine::ProgressCounter& progress, std::ostream& err,
+               std::uint64_t heartbeat_sec, std::size_t workers,
+               Sample sample) {
+        thread_ = std::thread([this, &progress, &err, heartbeat_sec, workers,
+                               sample] {
             // Threshold mode prints one line per 5 percentage points
             // (<= 20 lines however long the campaign runs), and is
             // quiet until the campaign announces its batch — the
@@ -516,7 +109,7 @@ public:
             while (!done_cv_.wait_for(lock, interval,
                                       [this] { return stopping_; })) {
                 if (progress.total() == 0) continue;
-                const std::string line = meter.sample(progress);
+                const std::string line = sample(meter);
                 if (heartbeat_sec > 0) {
                     err << line << "\n";
                     continue;
@@ -531,79 +124,6 @@ public:
         });
     }
 
-    ~ProgressReporter() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            stopping_ = true;
-        }
-        done_cv_.notify_all();
-        if (thread_.joinable()) thread_.join();
-    }
-
-    ProgressReporter(const ProgressReporter&) = delete;
-    ProgressReporter& operator=(const ProgressReporter&) = delete;
-
-private:
-    std::mutex mutex_;
-    std::condition_variable done_cv_;
-    bool stopping_ = false;
-    std::thread thread_;
-};
-
-/// Batch counterpart of ProgressReporter: renders the aggregate line
-/// plus one per-scenario chip through HeartbeatMeter's multi-campaign
-/// form, so concurrent heterogeneous campaigns report cleanly on one
-/// stderr line instead of interleaving.
-class BatchReporter {
-public:
-    BatchReporter(const sched::BatchProgress& monitor, std::ostream& err,
-                  std::uint64_t heartbeat_sec, std::size_t workers) {
-        if (heartbeat_sec == 0 &&
-            monitor.aggregate().total() < ProgressReporter::kMinRuns) {
-            return;
-        }
-        thread_ = std::thread([this, &monitor, &err, heartbeat_sec,
-                               workers] {
-            obs::HeartbeatMeter meter(workers);
-            const std::vector<obs::CampaignSample> campaigns =
-                monitor.samples();
-            std::size_t next_percent = 5;
-            const auto interval =
-                heartbeat_sec > 0
-                    ? std::chrono::milliseconds(1000 * heartbeat_sec)
-                    : std::chrono::milliseconds(500);
-            std::unique_lock<std::mutex> lock(mutex_);
-            while (!done_cv_.wait_for(lock, interval,
-                                      [this] { return stopping_; })) {
-                const std::string line =
-                    meter.sample(monitor.aggregate(), campaigns);
-                if (heartbeat_sec > 0) {
-                    err << line << "\n";
-                    continue;
-                }
-                const std::size_t percent = static_cast<std::size_t>(
-                    100.0 * monitor.aggregate().fraction());
-                if (percent >= next_percent) {
-                    err << line << "\n";
-                    next_percent = percent + 5;
-                }
-            }
-        });
-    }
-
-    ~BatchReporter() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            stopping_ = true;
-        }
-        done_cv_.notify_all();
-        if (thread_.joinable()) thread_.join();
-    }
-
-    BatchReporter(const BatchReporter&) = delete;
-    BatchReporter& operator=(const BatchReporter&) = delete;
-
-private:
     std::mutex mutex_;
     std::condition_variable done_cv_;
     bool stopping_ = false;
@@ -619,7 +139,7 @@ private:
 /// the CLI tests run many commands in-process — never leak state).
 class TelemetrySession {
 public:
-    TelemetrySession(const ParsedFlags& flags, std::string command)
+    TelemetrySession(const OptionValues& flags, std::string command)
         : path_(flags.telemetry_out),
           trace_path_(flags.trace_out),
           active_(!flags.telemetry_out.empty() || flags.heartbeat > 0 ||
@@ -712,35 +232,47 @@ private:
     std::uint64_t begin_ns_ = 0;
 };
 
-MachineConfig build_config(const ParsedFlags& flags) {
-    if (flags.cores || flags.lbus) {
-        return MachineConfig::scaled(flags.cores.value_or(4),
-                                     flags.lbus.value_or(9));
+/// What every campaign command shares: a Session at --jobs counting into
+/// `progress`, the command's telemetry, and a live status line while
+/// the campaign runs.
+struct CampaignCommand {
+    CampaignCommand(const OptionValues& flags, std::string command)
+        : heartbeat(flags.heartbeat), telemetry(flags, std::move(command)) {
+        session.jobs(flags.jobs).progress(&progress);
     }
-    return flags.variant ? MachineConfig::ngmp_var()
-                         : MachineConfig::ngmp_ref();
-}
 
-UbdEstimatorOptions build_options(const ParsedFlags& flags) {
+    /// Runs `call(session)` under the status line for `total_runs` runs
+    /// on `jobs` workers, and returns its result.
+    template <typename Call>
+    auto run(std::size_t total_runs, std::size_t jobs, std::ostream& err,
+             Call call) {
+        const ProgressReporter reporter(progress, err, total_runs, heartbeat,
+                                        jobs);
+        return call(session);
+    }
+
+    /// Files the run report for the campaign `info` names, then the
+    /// --trace timeline of `scenario`'s run 0.
+    void finish(const obs::CampaignInfo& info, std::size_t jobs,
+                const Scenario& scenario, std::ostream& err) {
+        telemetry.campaign(info);
+        telemetry.finish(jobs, err);
+        telemetry.write_trace(scenario, err);
+    }
+
+    std::uint64_t heartbeat;
+    engine::ProgressCounter progress;
+    Session session;
+    TelemetrySession telemetry;
+};
+
+UbdEstimatorOptions build_options(const OptionValues& flags) {
     UbdEstimatorOptions opt;
     opt.k_max = flags.k_max;
     opt.unroll = 8;
     opt.rsk_iterations = flags.iterations;
     opt.nop_latency = flags.nop_latency;
     return opt;
-}
-
-/// The campaign commands' shared scenario: the cache-buster scua on the
-/// flag-built platform against load-rsk contenders, with the flags
-/// mapped 1:1 onto the Scenario builders.
-Scenario build_scenario(const ParsedFlags& flags,
-                        std::size_t default_runs) {
-    return Scenario::on(build_config(flags))
-        .scua(make_autobench(Autobench::kCacheb, 0x0100'0000,
-                             flags.iterations, 9))
-        .rsk_contenders(OpKind::kLoad)
-        .runs(flags.runs.value_or(default_runs))
-        .seed(flags.seed);
 }
 
 /// Campaign identity for a whole (unsliced) campaign's run report:
@@ -762,7 +294,8 @@ obs::CampaignInfo whole_campaign_info(const Scenario& scenario,
     return info;
 }
 
-int cmd_estimate(const ParsedFlags& flags, std::ostream& out) {
+int cmd_estimate(const OptionValues& flags, std::ostream& out,
+                 std::ostream&) {
     const MachineConfig config = build_config(flags);
     const UbdEstimatorOptions options = build_options(flags);
 
@@ -813,7 +346,8 @@ int cmd_estimate(const ParsedFlags& flags, std::ostream& out) {
     return 0;
 }
 
-int cmd_calibrate(const ParsedFlags& flags, std::ostream& out) {
+int cmd_calibrate(const OptionValues& flags, std::ostream& out,
+                  std::ostream&) {
     const MachineConfig config = build_config(flags);
     const NopCalibration cal =
         calibrate_delta_nop(config, 2048, 64, flags.nop_latency);
@@ -824,7 +358,8 @@ int cmd_calibrate(const ParsedFlags& flags, std::ostream& out) {
     return 0;
 }
 
-int cmd_baseline(const ParsedFlags& flags, std::ostream& out) {
+int cmd_baseline(const OptionValues& flags, std::ostream& out,
+                 std::ostream&) {
     const MachineConfig config = build_config(flags);
     const NaiveUbdm naive =
         naive_ubdm_rsk_vs_rsk(config, OpKind::kLoad, flags.iterations);
@@ -845,7 +380,7 @@ void report_measurement(const char* label, const Measurement& m,
     if (m.deadline_reached) out << "deadline reached — run invalid\n";
 }
 
-int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
+int cmd_isolation(const OptionValues& flags, std::ostream& out,
                   std::ostream& err) {
     const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
     TelemetrySession telemetry(flags, "isolation");
@@ -857,7 +392,7 @@ int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
     return m.deadline_reached ? 2 : 0;
 }
 
-int cmd_contention(const ParsedFlags& flags, std::ostream& out,
+int cmd_contention(const OptionValues& flags, std::ostream& out,
                    std::ostream& err) {
     const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
     TelemetrySession telemetry(flags, "contention");
@@ -873,7 +408,7 @@ int cmd_contention(const ParsedFlags& flags, std::ostream& out,
     return (bounded && !m.deadline_reached) ? 0 : 2;
 }
 
-int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
+int cmd_slowdown(const OptionValues& flags, std::ostream& out,
                  std::ostream& err) {
     const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
     TelemetrySession telemetry(flags, "slowdown");
@@ -900,34 +435,24 @@ int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
     return (bounded && !invalid) ? 0 : 2;
 }
 
-int cmd_campaign(const ParsedFlags& flags, std::ostream& out,
+int cmd_campaign(const OptionValues& flags, std::ostream& out,
                  std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
     const std::size_t runs = scenario.run_protocol().runs;
     const std::size_t jobs = engine::effective_jobs(flags.jobs, runs);
 
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "campaign");
-    HwmCampaignResult hwm;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        hwm = session.hwm(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
+    CampaignCommand command(flags, "campaign");
+    const HwmCampaignResult hwm = command.run(
+        runs, jobs, err, [&](Session& s) { return s.hwm(scenario); });
+    command.finish(whole_campaign_info(scenario, /*block_size=*/0), jobs,
+                   scenario, err);
 
     const Cycle ubd = scenario.config().ubd_analytic();
     const Cycle etb = hwm.et_isolation + hwm.nr * ubd;
     const bool bounded = hwm.high_water_mark <= etb;
     out << "campaign: " << runs << " runs on " << jobs << " jobs, seed "
         << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
+        << engine::render_progress(command.progress) << ")\n";
     out << "et_isol = " << hwm.et_isolation << " cycles, nr = " << hwm.nr
         << "\n";
     out << "hwm = " << hwm.high_water_mark << ", lwm = "
@@ -950,35 +475,25 @@ std::string percent(std::uint64_t part, std::uint64_t whole) {
     return buf;
 }
 
-int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
+int cmd_attribution(const OptionValues& flags, std::ostream& out,
                     std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
     const std::size_t runs = scenario.run_protocol().runs;
     const std::size_t jobs = engine::effective_jobs(
         flags.jobs, engine::ReducePlan::for_count(runs).shards());
 
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "attribution");
-    engine::AttributionCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.attribution(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.attribution(attribution_summary(r.attribution));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
+    CampaignCommand command(flags, "attribution");
+    const engine::AttributionCampaignResult r = command.run(
+        runs, jobs, err, [&](Session& s) { return s.attribution(scenario); });
+    command.telemetry.attribution(attribution_summary(r.attribution));
+    command.finish(whole_campaign_info(scenario, /*block_size=*/0), jobs,
+                   scenario, err);
 
     const AttributionAccumulator& acc = r.attribution;
     const CoreId cores = static_cast<CoreId>(acc.num_cores());
     out << "attribution: " << runs << " runs on " << jobs << " jobs, seed "
         << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
+        << engine::render_progress(command.progress) << ")\n";
     out << "et_isol = " << r.et_isolation << " cycles, nr = " << r.nr
         << "\n";
     out << "machine cycles = " << acc.machine_cycles() << " per core over "
@@ -1067,63 +582,56 @@ int report_pwcet(const PwcetCampaignResult& r, Cycle ubd,
     return bounded ? 0 : 2;
 }
 
-/// `pwcet --shard i/N --checkpoint-out FILE`: run one slice of the
-/// campaign's shard plan and persist its accumulator state instead of
-/// fitting — the fit happens at `merge` time, over every slice.
-int cmd_pwcet_checkpoint(const ParsedFlags& flags, const Scenario& scenario,
-                         const PwcetSpec& spec, std::ostream& out,
-                         std::ostream& err) {
+/// `--shard i/N --checkpoint-out FILE` on `pwcet` or `whitebox`: run
+/// one slice of the campaign's shard plan via `save(session, slice)`
+/// and persist its accumulator state instead of reporting — the report
+/// comes from `merge_command` over every slice.
+template <typename Save>
+int cmd_slice(const OptionValues& flags, const char* command,
+              const char* merge_command, const Scenario& scenario,
+              std::ostream& out, std::ostream& err, Save save) {
     RRB_REQUIRE(!flags.checkpoint_out.empty(),
                 "--shard needs --checkpoint-out to name the slice file");
     const SliceSpec slice = flags.shard.value_or(SliceSpec{0, 1});
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "pwcet");
-    PwcetCheckpoint checkpoint;
-    {
-        const ProgressReporter reporter(progress, err,
-                                        scenario.run_protocol().runs,
-                                        flags.heartbeat,
-                                        session.worker_budget());
-        checkpoint = session.checkpoint(scenario, spec, slice,
-                                        flags.checkpoint_out);
-    }
+    CampaignCommand campaign(flags, command);
+    const std::size_t jobs = campaign.session.worker_budget();
+    const auto checkpoint =
+        campaign.run(scenario.run_protocol().runs, jobs, err,
+                     [&](Session& s) { return save(s, slice); });
     // The shard report carries the slice's run range and plan from the
     // checkpoint metadata: collecting every shard's report reconstructs
     // the distributed campaign's timeline.
-    telemetry.campaign(telemetry_info(checkpoint.meta));
-    telemetry.finish(session.worker_budget(), err);
-    telemetry.write_trace(scenario, err);
+    campaign.finish(telemetry_info(checkpoint.meta), jobs, scenario, err);
 
     const CheckpointMeta& meta = checkpoint.meta;
-    out << "pwcet shard " << slice.index << "/" << slice.count << ": runs ["
-        << meta.first_run << ", " << meta.last_run << ") of "
-        << meta.total_runs << " in blocks of " << meta.block_size
-        << ", seed " << meta.seed << "\n";
+    out << command << " shard " << slice.index << "/" << slice.count
+        << ": runs [" << meta.first_run << ", " << meta.last_run << ") of "
+        << meta.total_runs;
+    if constexpr (std::is_same_v<decltype(checkpoint),
+                                 const PwcetCheckpoint>) {
+        out << " in blocks of " << meta.block_size;
+    }
+    out << ", seed " << meta.seed << "\n";
     out << "checkpoint written to " << flags.checkpoint_out << " ("
         << checkpoint.shards.size() << " shard accumulators, merge with "
-        << "'rrbtool merge')\n";
+        << "'rrbtool " << merge_command << "')\n";
     return 0;
 }
 
-int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
+int cmd_pwcet(const OptionValues& flags, std::ostream& out,
               std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    RRB_REQUIRE(flags.block_size >= 1, "--block-size must be at least 1");
-    // Default to a quick-but-meaningful campaign: 40 blocks at the
-    // default block size (the campaign command's 20-run default would
-    // not even fill one block).
-    const Scenario scenario =
-        build_scenario(flags, /*default_runs=*/40 * flags.block_size);
-    PwcetSpec spec;
-    spec.block_size = flags.block_size;
-    if (!flags.exceedances.empty()) spec.exceedance = flags.exceedances;
+    // Runs default to 40 blocks (the campaign command's 20-run default
+    // would not even fill one block).
+    const BatchItem campaign = build_pwcet_campaign(flags);
+    const Scenario& scenario = campaign.scenario;
+    const PwcetSpec& spec = campaign.spec;
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
-        return cmd_pwcet_checkpoint(flags, scenario, spec, out, err);
+        return cmd_slice(flags, "pwcet", "merge", scenario, out, err,
+                         [&](Session& s, const SliceSpec& slice) {
+                             return s.checkpoint(scenario, spec, slice,
+                                                 flags.checkpoint_out);
+                         });
     }
 
     const std::size_t runs = scenario.run_protocol().runs;
@@ -1132,24 +640,15 @@ int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
     const std::size_t jobs = engine::effective_jobs(
         flags.jobs, engine::ReducePlan::for_count(runs).shards());
 
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "pwcet");
-    PwcetCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.pwcet(scenario, spec);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, spec.block_size));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
+    CampaignCommand command(flags, "pwcet");
+    const PwcetCampaignResult r = command.run(
+        runs, jobs, err, [&](Session& s) { return s.pwcet(scenario, spec); });
+    command.finish(whole_campaign_info(scenario, spec.block_size), jobs,
+                   scenario, err);
 
     out << "pwcet: " << r.runs << " runs in blocks of " << spec.block_size
         << " on " << jobs << " jobs, seed " << scenario.run_protocol().seed
-        << " (" << engine::render_progress(progress) << ")\n";
+        << " (" << engine::render_progress(command.progress) << ")\n";
     // Exit contract, matching `campaign`: 0 = HWM bounded by the ETB,
     // 2 = bound violated; 3 = bounded but no usable fit.
     return report_pwcet(r, scenario.config().ubd_analytic(), out);
@@ -1172,7 +671,7 @@ void require_unique_inputs(const std::vector<std::string>& inputs,
     }
 }
 
-int cmd_merge(const ParsedFlags& flags, std::ostream& out,
+int cmd_merge(const OptionValues& flags, std::ostream& out,
               std::ostream& err) {
     RRB_REQUIRE(!flags.inputs.empty(),
                 "merge needs at least one checkpoint file");
@@ -1224,79 +723,35 @@ int report_whitebox(const engine::WhiteboxCampaignResult& r, Cycle ubd,
     return bounded ? 0 : 2;
 }
 
-/// `whitebox --shard i/N --checkpoint-out FILE`: run one slice of the
-/// white-box campaign and persist its accumulator state; the merged
-/// report comes from `merge-whitebox`.
-int cmd_whitebox_checkpoint(const ParsedFlags& flags,
-                            const Scenario& scenario, std::ostream& out,
-                            std::ostream& err) {
-    RRB_REQUIRE(!flags.checkpoint_out.empty(),
-                "--shard needs --checkpoint-out to name the slice file");
-    const SliceSpec slice = flags.shard.value_or(SliceSpec{0, 1});
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "whitebox");
-    WhiteboxCheckpoint checkpoint;
-    {
-        const ProgressReporter reporter(progress, err,
-                                        scenario.run_protocol().runs,
-                                        flags.heartbeat,
-                                        session.worker_budget());
-        checkpoint = session.checkpoint(scenario, slice,
-                                        flags.checkpoint_out);
-    }
-    telemetry.campaign(telemetry_info(checkpoint.meta));
-    telemetry.finish(session.worker_budget(), err);
-    telemetry.write_trace(scenario, err);
-
-    const CheckpointMeta& meta = checkpoint.meta;
-    out << "whitebox shard " << slice.index << "/" << slice.count
-        << ": runs [" << meta.first_run << ", " << meta.last_run << ") of "
-        << meta.total_runs << ", seed " << meta.seed << "\n";
-    out << "checkpoint written to " << flags.checkpoint_out << " ("
-        << checkpoint.shards.size() << " shard accumulators, merge with "
-        << "'rrbtool merge-whitebox')\n";
-    return 0;
-}
-
-int cmd_whitebox(const ParsedFlags& flags, std::ostream& out,
+int cmd_whitebox(const OptionValues& flags, std::ostream& out,
                  std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
-        return cmd_whitebox_checkpoint(flags, scenario, out, err);
+        return cmd_slice(flags, "whitebox", "merge-whitebox", scenario, out,
+                         err, [&](Session& s, const SliceSpec& slice) {
+                             return s.checkpoint(scenario, slice,
+                                                 flags.checkpoint_out);
+                         });
     }
 
     const std::size_t runs = scenario.run_protocol().runs;
     const std::size_t jobs = engine::effective_jobs(
         flags.jobs, engine::ReducePlan::for_count(runs).shards());
 
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "whitebox");
-    engine::WhiteboxCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.whitebox(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
+    CampaignCommand command(flags, "whitebox");
+    const engine::WhiteboxCampaignResult r = command.run(
+        runs, jobs, err, [&](Session& s) { return s.whitebox(scenario); });
+    command.finish(whole_campaign_info(scenario, /*block_size=*/0), jobs,
+                   scenario, err);
 
     out << "whitebox: " << runs << " runs on " << jobs << " jobs, seed "
         << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
+        << engine::render_progress(command.progress) << ")\n";
     return report_whitebox(r, scenario.config().ubd_analytic(), out);
 }
 
-int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
+int cmd_merge_whitebox(const OptionValues& flags, std::ostream& out,
                        std::ostream& err) {
     RRB_REQUIRE(!flags.inputs.empty(),
                 "merge-whitebox needs at least one checkpoint file");
@@ -1315,49 +770,33 @@ int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
     return report_whitebox(merged.result, merged.meta.ubd_analytic, out);
 }
 
-int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
+int cmd_sweep_pwcet(const OptionValues& flags, std::ostream& out,
                     std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    RRB_REQUIRE(flags.block_size >= 1, "--block-size must be at least 1");
-    const Scenario scenario =
-        build_scenario(flags, /*default_runs=*/40 * flags.block_size);
+    const BatchItem campaign = build_pwcet_campaign(flags);
+    const Scenario& scenario = campaign.scenario;
+    const PwcetSpec& spec = campaign.spec;
     SweepAxes axes;
     axes.cores = flags.cores_axis;
     axes.lbus = flags.lbus_axis;
     axes.arbiters = flags.arbiter_axis;
-    PwcetSpec spec;
-    spec.block_size = flags.block_size;
-    if (!flags.exceedances.empty()) spec.exceedance = flags.exceedances;
 
     const std::size_t runs = scenario.run_protocol().runs;
 
-    engine::ProgressCounter progress;  // per grid point
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-    const std::size_t jobs = session.worker_budget();
-
-    TelemetrySession telemetry(flags, "sweep-pwcet");
-    SweepResult sweep;
-    {
-        // Point campaigns are silent; report over the whole run volume
-        // only when it is genuinely long.
-        const ProgressReporter reporter(progress, err,
-                                        axes.points() * runs,
-                                        flags.heartbeat, jobs);
-        sweep = session.sweep(scenario, axes, spec);
-    }
-    {
-        // One report for the whole grid: the base scenario's identity
-        // with the run volume scaled by the point count (each point's
-        // own timings live in the span timeline).
-        obs::CampaignInfo info =
-            whole_campaign_info(scenario, spec.block_size);
-        info.total_runs = axes.points() * runs;
-        info.last_run = info.total_runs;
-        telemetry.campaign(info);
-    }
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
+    CampaignCommand command(flags, "sweep-pwcet");  // progress per point
+    const std::size_t jobs = command.session.worker_budget();
+    // Point campaigns are silent; report over the whole run volume only
+    // when it is genuinely long.
+    const SweepResult sweep =
+        command.run(axes.points() * runs, jobs, err, [&](Session& s) {
+            return s.sweep(scenario, axes, spec);
+        });
+    // One report for the whole grid: the base scenario's identity with
+    // the run volume scaled by the point count (each point's own timings
+    // live in the span timeline).
+    obs::CampaignInfo info = whole_campaign_info(scenario, spec.block_size);
+    info.total_runs = axes.points() * runs;
+    info.last_run = info.total_runs;
+    command.finish(info, jobs, scenario, err);
 
     out << "sweep-pwcet: " << sweep.points.size() << " configs x " << runs
         << " runs in blocks of " << spec.block_size << " on " << jobs
@@ -1401,7 +840,8 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
     return 0;
 }
 
-int cmd_sweep(const ParsedFlags& flags, std::ostream& out) {
+int cmd_sweep(const OptionValues& flags, std::ostream& out,
+              std::ostream&) {
     const MachineConfig config = build_config(flags);
     const UbdEstimate e = estimate_ubd(config, build_options(flags));
     const std::vector<std::string> names = {"dbus"};
@@ -1495,7 +935,7 @@ std::string change_pct(double a, double b) {
 /// scenario emits a whole-campaign checkpoint under --out-dir, byte-
 /// identical to `pwcet --shard 0/1` of the same scenario and farmable
 /// through `rrbtool merge`.
-int cmd_batch(const ParsedFlags& flags, std::ostream& out,
+int cmd_batch(const OptionValues& flags, std::ostream& out,
               std::ostream& err) {
     RRB_REQUIRE(flags.inputs.size() == 1,
                 "batch needs exactly one spec file");
@@ -1529,7 +969,7 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
     TelemetrySession telemetry(flags, "batch");
     BatchResult result;
     {
-        const BatchReporter reporter(monitor, err, flags.heartbeat, jobs);
+        const ProgressReporter reporter(monitor, err, flags.heartbeat, jobs);
         result = session.batch(items, &monitor);
     }
     {
@@ -1609,7 +1049,7 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
 /// --max-regression-pct P the throughput rates (runs/sec, cycles/sec)
 /// become a gate: exit 3 when either regressed by more than P percent —
 /// the CI perf gate, runnable locally against any two reports.
-int cmd_telemetry_diff(const ParsedFlags& flags, std::ostream& out,
+int cmd_telemetry_diff(const OptionValues& flags, std::ostream& out,
                        std::ostream& err) {
     RRB_REQUIRE(flags.inputs.size() == 2,
                 "telemetry-diff needs exactly two run-report files");
@@ -1702,132 +1142,204 @@ int cmd_telemetry_diff(const ParsedFlags& flags, std::ostream& out,
     return exit_code;
 }
 
+using Handler = int (*)(const OptionValues&, std::ostream& out,
+                        std::ostream& err);
+
+/// One rrbtool command: its name, the cmd:: bit the option rows name,
+/// its handler, whether it reads positional file arguments, and its
+/// '\n'-separated help summary.
+struct CommandRow {
+    std::string_view name;
+    std::uint32_t bit;
+    Handler handler;  ///< null: `help`, answered before dispatch
+    bool takes_files;
+    std::string_view help;
+};
+
+constexpr CommandRow kCommands[] = {
+    {"estimate", cmd::kEstimate, cmd_estimate, false,
+     "run the rsk-nop methodology and report ubd"},
+    {"calibrate", cmd::kCalibrate, cmd_calibrate, false,
+     "measure delta_nop with the all-nop kernel"},
+    {"baseline", cmd::kBaseline, cmd_baseline, false,
+     "run the naive rsk-vs-rsk measurement"},
+    {"isolation", cmd::kIsolation, cmd_isolation, false,
+     "run the scua alone and report its PMC view"},
+    {"contention", cmd::kContention, cmd_contention, false,
+     "one scua-vs-contenders run vs the analytic ubd"},
+    {"slowdown", cmd::kSlowdown, cmd_slowdown, false,
+     "isolation + contention, report det(t, k)"},
+    {"campaign", cmd::kCampaign, cmd_campaign, false,
+     "run a randomized HWM campaign vs the ETB bound"},
+    {"attribution", cmd::kAttribution, cmd_attribution, false,
+     "campaign with the cycle-attribution profiler:\n"
+     "per-core stall causes + contender blame matrix"},
+    {"pwcet", cmd::kPwcet, cmd_pwcet, false,
+     "streamed Gumbel pWCET campaign (O(runs/block) memory)"},
+    {"batch", cmd::kBatch, cmd_batch, true,
+     "run a multi-scenario spec file as one flat\n"
+     "(campaign x shard) queue; one checkpoint per\n"
+     "scenario"},
+    {"merge", cmd::kMerge, cmd_merge, true,
+     "merge pwcet checkpoint files into the full campaign"},
+    {"whitebox", cmd::kWhitebox, cmd_whitebox, false,
+     "white-box campaign: per-request delay / contender\n"
+     "histograms vs the analytic ubd"},
+    {"merge-whitebox", cmd::kMergeWhitebox, cmd_merge_whitebox, true,
+     "merge whitebox checkpoint files"},
+    {"sweep-pwcet", cmd::kSweepPwcet, cmd_sweep_pwcet, false,
+     "grid of MachineConfigs, one streamed pWCET\n"
+     "campaign per point on one shared pool"},
+    {"sweep", cmd::kSweep, cmd_sweep, false,
+     "dump the dbus(k) series as CSV"},
+    {"telemetry-diff", cmd::kTelemetryDiff, cmd_telemetry_diff, true,
+     "counter deltas and rate regressions between\n"
+     "two --telemetry run reports"},
+    {"help", 0, nullptr, false, "show this text"},
+};
+
+const CommandRow* find_command(std::string_view name) {
+    for (const CommandRow& row : kCommands) {
+        if (row.name == name) return &row;
+    }
+    return nullptr;
+}
+
+/// "  SYNOPSIS  help line" padded to `width`, further help lines
+/// indented under the first.
+void append_item(std::string& text, std::string_view synopsis,
+                 std::string_view help, std::size_t width) {
+    text += "  ";
+    text += synopsis;
+    text.append(std::max(width, synopsis.size() + 2) - synopsis.size(), ' ');
+    for (std::size_t start = 0;;) {
+        const std::size_t newline = help.find('\n', start);
+        text += help.substr(start, newline - start);
+        text += '\n';
+        if (newline == std::string_view::npos) break;
+        text.append(2 + width, ' ');
+        start = newline + 1;
+    }
+}
+
+/// One help group: its title, its text, then its rows' flag lines. A
+/// row without help lines joins the synopsis of the row above it.
+void append_group(std::string& text, HelpGroup group, std::string_view title,
+                  std::string_view intro = {}) {
+    text += '\n';
+    text += title;
+    text += '\n';
+    text += intro;
+    std::string synopsis;
+    std::string help;
+    const auto flush = [&] {
+        if (!synopsis.empty()) append_item(text, synopsis, help, 21);
+        synopsis.clear();
+    };
+    for (const OptionRow& row : option_table()) {
+        if (row.group != group) continue;
+        std::string item(row.flag);
+        if (!row.metavar.empty()) item += " " + std::string(row.metavar);
+        if (row.help.empty()) {
+            if (!synopsis.empty()) synopsis += " " + item;
+            continue;
+        }
+        flush();
+        synopsis = item;
+        help = row.help;
+        if (!row.def.empty()) {
+            help.insert(std::min(help.find('\n'), help.size()),
+                        " (default " + std::string(row.def) + ")");
+        }
+    }
+    flush();
+}
+
+/// Greedy word wrap: `lead` then `words`, lines at most 64 columns,
+/// continuation lines indented to the end of `lead`.
+std::string wrap(std::string_view lead, const std::string& words) {
+    std::string text(lead);
+    std::size_t line_start = 0;
+    std::istringstream stream(words);
+    std::string word;
+    for (bool first = true; stream >> word; first = false) {
+        if (!first && text.size() - line_start + 1 + word.size() > 64) {
+            text += '\n';
+            line_start = text.size();
+            text.append(lead.size(), ' ');
+        } else if (!first) {
+            text += ' ';
+        }
+        text += word;
+    }
+    return text + '\n';
+}
+
 }  // namespace
 
 std::string usage() {
-    return "rrbtool — measurement-based contention bounds for round-robin "
-           "buses\n"
-           "\n"
-           "usage: rrbtool <command> [flags]\n"
-           "\n"
-           "commands:\n"
-           "  estimate     run the rsk-nop methodology and report ubd\n"
-           "  calibrate    measure delta_nop with the all-nop kernel\n"
-           "  baseline     run the naive rsk-vs-rsk measurement\n"
-           "  isolation    run the scua alone and report its PMC view\n"
-           "  contention   one scua-vs-contenders run vs the analytic "
-           "ubd\n"
-           "  slowdown     isolation + contention, report det(t, k)\n"
-           "  campaign     run a randomized HWM campaign vs the ETB bound\n"
-           "  attribution  campaign with the cycle-attribution profiler:\n"
-           "               per-core stall causes + contender blame "
-           "matrix\n"
-           "  pwcet        streamed Gumbel pWCET campaign (O(runs/block) "
-           "memory)\n"
-           "  batch        run a multi-scenario spec file as one flat\n"
-           "               (campaign x shard) queue; one checkpoint per\n"
-           "               scenario\n"
-           "  merge        merge pwcet checkpoint files into the full "
-           "campaign\n"
-           "  whitebox     white-box campaign: per-request delay / "
-           "contender\n"
-           "               histograms vs the analytic ubd\n"
-           "  merge-whitebox  merge whitebox checkpoint files\n"
-           "  sweep-pwcet  grid of MachineConfigs, one streamed pWCET\n"
-           "               campaign per point on one shared pool\n"
-           "  sweep        dump the dbus(k) series as CSV\n"
-           "  telemetry-diff  counter deltas and rate regressions "
-           "between\n"
-           "               two --telemetry run reports\n"
-           "  help         show this text\n"
-           "\n"
-           "Each command accepts only its own flags; anything else exits\n"
-           "non-zero naming the flag.\n"
-           "\n"
-           "platform flags (sweep-pwcet takes --var and the axes only):\n"
-           "  --cores N --lbus L   scaled platform (default: NGMP ref)\n"
-           "  --var                NGMP variant (DL1 latency 4)\n"
-           "\n"
-           "measurement flags:\n"
-           "  --kmax K             nop sweep range (default 70)\n"
-           "  --iterations I       rsk loop iterations (default 40)\n"
-           "  --nop-latency L      slow-nop platforms (default 1)\n"
-           "  --store-span         cross-check with the store-buffer path\n"
-           "  --csv FILE           write the sweep data to FILE\n"
-           "\n"
-           "campaign flags:\n"
-           "  --runs R             campaign runs (default 20; pwcet "
-           "defaults\n"
-           "                       to 40 blocks)\n"
-           "  --seed S             campaign root seed (default 1)\n"
-           "  --jobs N             parallel jobs; 0 = hardware "
-           "concurrency\n"
-           "                       (results are identical for every N)\n"
-           "  --telemetry F        write a JSON telemetry run report "
-           "to F\n"
-           "                       (schema 'rrb-telemetry'; also on "
-           "merge)\n"
-           "  --heartbeat S        print a live status line (runs/s, "
-           "eta,\n"
-           "                       worker %) to stderr every S seconds\n"
-           "  --trace F            write a Chrome-trace JSON timeline "
-           "to F\n"
-           "                       (open in Perfetto or chrome://tracing):"
-           "\n"
-           "                       campaign spans plus run 0's bus "
-           "wait /\n"
-           "                       service windows per core\n"
-           "\n"
-           "telemetry-diff:\n"
-           "  rrbtool telemetry-diff A B   diff two run reports "
-           "(oldest\n"
-           "                       first); with --max-regression-pct P "
-           "exit 3\n"
-           "                       when runs/sec or cycles/sec dropped "
-           "more\n"
-           "                       than P percent\n"
-           "\n"
-           "pwcet flags (plus the campaign flags above):\n"
-           "  --block-size B       runs per EVT block (default 50)\n"
-           "  --exceedance P       quote pWCET at exceedance P in (0,1);\n"
-           "                       repeatable (default 1e-3 1e-6 1e-9)\n"
-           "  --shard i/N          run slice i of N of the campaign's\n"
-           "                       shard plan (needs --checkpoint-out)\n"
-           "  --checkpoint-out F   write the slice's accumulator state "
-           "to F;\n"
-           "                       merging every slice with 'rrbtool "
-           "merge'\n"
-           "                       is bit-identical to one full run\n"
-           "\n"
-           "batch:\n"
-           "  rrbtool batch SPEC   run every [scenario NAME] block of "
-           "SPEC\n"
-           "                       concurrently on one shared queue "
-           "(keys:\n"
-           "                       cores, lbus, var, arbiter, "
-           "iterations,\n"
-           "                       runs, seed, block-size, exceedance,\n"
-           "                       max-start-delay); writes "
-           "NAME.ckpt per\n"
-           "                       scenario, byte-identical to a "
-           "standalone\n"
-           "                       'pwcet --shard 0/1' of that scenario\n"
-           "  --out-dir D          checkpoint directory (default .)\n"
-           "                       a failed scenario is reported FAILED "
-           "and\n"
-           "                       exits 4; the others still complete "
-           "and\n"
-           "                       checkpoint\n"
-           "\n"
-           "merge:\n"
-           "  rrbtool merge F1 F2 ...   merge checkpoint files; rejects\n"
-           "                       mismatched campaigns and duplicate or\n"
-           "                       missing slices\n"
-           "\n"
-           "sweep-pwcet flags (plus the campaign and pwcet flags):\n"
-           "  --cores-axis A,B,..  core counts to sweep (default: base)\n"
-           "  --lbus-axis A,B,..   L2-hit bus occupancies to sweep\n"
-           "  --arbiter-axis L     arbiters to sweep: rr,tdma,wrr,fixed\n";
+    std::string text =
+        "rrbtool — measurement-based contention bounds for round-robin "
+        "buses\n\nusage: rrbtool <command> [flags]\n\ncommands:\n";
+    for (const CommandRow& row : kCommands) {
+        append_item(text, row.name, row.help, 13);
+    }
+    text += "\nEach command accepts only its own flags; anything else exits\n"
+            "non-zero naming the flag.\n";
+    append_group(text, HelpGroup::kPlatform,
+                 "platform flags (sweep-pwcet takes --var and the axes "
+                 "only):");
+    append_group(text, HelpGroup::kMeasurement, "measurement flags:");
+    append_group(text, HelpGroup::kCampaign, "campaign flags:");
+    append_group(text, HelpGroup::kTelemetryDiff, "telemetry-diff:",
+                 "  rrbtool telemetry-diff A B   diff two run reports "
+                 "(oldest\n"
+                 "                       first); with --max-regression-pct "
+                 "P exit 3\n"
+                 "                       when runs/sec or cycles/sec dropped "
+                 "more\n"
+                 "                       than P percent\n");
+    append_group(text, HelpGroup::kPwcet,
+                 "pwcet flags (plus the campaign flags above):");
+    std::string keys;
+    for (const OptionRow& row : option_table()) {
+        if (row.key.empty()) continue;
+        if (!keys.empty()) keys += ", ";
+        keys += row.key;
+    }
+    append_group(
+        text, HelpGroup::kBatch, "batch:",
+        wrap("  rrbtool batch SPEC   ",
+             "run every [scenario NAME] block of SPEC concurrently on one "
+             "shared queue (keys: " +
+                 keys +
+                 "); writes NAME.ckpt per scenario, byte-identical to a "
+                 "standalone 'pwcet --shard 0/1' of that scenario"));
+    text += "\nmerge:\n"
+            "  rrbtool merge F1 F2 ...   merge checkpoint files; rejects\n"
+            "                       mismatched campaigns and duplicate or\n"
+            "                       missing slices\n";
+    append_group(text, HelpGroup::kSweepPwcet,
+                 "sweep-pwcet flags (plus the campaign and pwcet flags):");
+    return text;
+}
+
+CommandLine parse_command_line(const std::vector<std::string>& args) {
+    if (args.empty()) throw std::invalid_argument("no command given");
+    const CommandRow* row = find_command(args[0]);
+    if (row == nullptr) {
+        throw std::invalid_argument("unknown command '" + args[0] + "'");
+    }
+    return {row->name,
+            parse_flags(std::span(args).subspan(1), row->name, row->bit,
+                        row->takes_files)};
+}
+
+std::string_view command_name(std::uint32_t bit) {
+    for (const CommandRow& row : kCommands) {
+        if (row.bit == bit) return row.name;
+    }
+    return {};
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out,
@@ -1836,48 +1348,21 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         out << usage();
         return args.empty() ? 1 : 0;
     }
-    const std::string& command = args[0];
-    const CommandSpec* spec = find_command(command);
-    if (spec == nullptr) {
-        err << "error: unknown command '" << command << "'\n\n" << usage();
+    CommandLine line;
+    try {
+        line = parse_command_line(args);
+    } catch (const std::invalid_argument& e) {
+        err << "error: " << e.what() << "\n\n" << usage();
         return 1;
     }
-    const ParsedFlags flags = parse_flags(args, 1, *spec);
-    if (!flags.error.empty()) {
-        err << "error: " << flags.error << "\n\n" << usage();
-        return 1;
-    }
-
+    const std::string_view command = line.command;
     try {
         // Deterministic fault injection for whole-process smoke tests:
         // armed from RRB_FAULTS for this command only (no-op when the
         // variable is unset or a test armed the injector itself). A
         // malformed spec lands in the invalid_argument handler below.
         const fault::ScopedEnvArm faults;
-        if (command == "estimate") return cmd_estimate(flags, out);
-        if (command == "calibrate") return cmd_calibrate(flags, out);
-        if (command == "baseline") return cmd_baseline(flags, out);
-        if (command == "isolation") return cmd_isolation(flags, out, err);
-        if (command == "contention") {
-            return cmd_contention(flags, out, err);
-        }
-        if (command == "slowdown") return cmd_slowdown(flags, out, err);
-        if (command == "campaign") return cmd_campaign(flags, out, err);
-        if (command == "attribution") {
-            return cmd_attribution(flags, out, err);
-        }
-        if (command == "telemetry-diff") {
-            return cmd_telemetry_diff(flags, out, err);
-        }
-        if (command == "pwcet") return cmd_pwcet(flags, out, err);
-        if (command == "batch") return cmd_batch(flags, out, err);
-        if (command == "merge") return cmd_merge(flags, out, err);
-        if (command == "whitebox") return cmd_whitebox(flags, out, err);
-        if (command == "merge-whitebox") {
-            return cmd_merge_whitebox(flags, out, err);
-        }
-        if (command == "sweep-pwcet") return cmd_sweep_pwcet(flags, out, err);
-        if (command == "sweep") return cmd_sweep(flags, out);
+        return find_command(command)->handler(line.options, out, err);
     } catch (const std::invalid_argument& e) {
         err << "error: " << e.what() << "\n";
         return 1;
@@ -1892,18 +1377,14 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         // an engine invariant tripped) — report it instead of letting
         // it escape to std::terminate, on a code no verdict uses
         // (sysexits EX_SOFTWARE).
-        err << "error: command '" << command
-            << "' failed: " << e.what() << "\n";
+        err << "error: command '" << command << "' failed: " << e.what()
+            << "\n";
         return 70;
     } catch (...) {
         err << "error: command '" << command
             << "' failed with an unknown error\n";
         return 70;
     }
-    // Unreachable while command_specs() and the dispatch above agree;
-    // fail loudly rather than silently succeed if they ever drift.
-    err << "error: unknown command '" << command << "'\n\n" << usage();
-    return 1;
 }
 
 }  // namespace rrb::cli

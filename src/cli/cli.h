@@ -1,39 +1,26 @@
 // rrbtool: command-line front end to the methodology.
 //
-//   rrbtool estimate  [--cores N] [--lbus L] [--var] [--kmax K]
-//                     [--iterations I] [--store-span] [--csv FILE]
-//   rrbtool calibrate [--cores N] [--lbus L] [--var] [--nop-latency L]
-//   rrbtool baseline  [--cores N] [--lbus L] [--var]
-//   rrbtool isolation [--cores N] [--lbus L] [--var] [--iterations I]
-//   rrbtool contention / slowdown   (same flags as isolation)
-//   rrbtool campaign  [--cores N] [--lbus L] [--var] [--runs R]
-//                     [--seed S] [--jobs N] [--iterations I]
-//                     [--telemetry F] [--heartbeat S] [--trace F]
-//   rrbtool attribution [campaign flags]  — cycle-attribution profiler:
-//                     per-core stall-cause timelines + blame matrix
-//   rrbtool pwcet     [campaign flags] [--block-size B] [--exceedance P]
-//                     [--shard i/N --checkpoint-out F]
-//   rrbtool merge     F1 F2 ...
-//   rrbtool telemetry-diff A B [--max-regression-pct P]
-//   rrbtool sweep-pwcet [--var] [--cores-axis A,B] [--lbus-axis A,B]
-//                     [--arbiter-axis rr,tdma,...] [campaign/pwcet flags]
-//   rrbtool sweep     [--cores N] [--lbus L] [--var] [--kmax K]
-//                     [--csv FILE]
-//   rrbtool help
+//   rrbtool <command> [flags]     `rrbtool help` lists both
 //
-// The platform flags construct a MachineConfig: the NGMP reference model
-// by default, `--var` for the 4-cycle-DL1 variant, or `--cores/--lbus`
-// for a scaled platform. Each command accepts only its own flag set and
-// exits non-zero naming any flag that does not apply. The campaign
-// commands are thin shells over the Scenario/Session API
-// (core/scenario.h, core/session.h): flags map 1:1 onto Scenario
-// builders and Session execution policy. Command implementations live
-// here so they are unit-testable without spawning processes.
+// Commands come from one command table (name, handler, help) and flags
+// from the option table (core/options.h), which also gives each flag's
+// value kind, range, default and the commands it applies to. Each
+// command accepts only its own flags and exits 1 naming any flag that
+// does not apply. The platform flags construct a MachineConfig: the NGMP
+// reference model by default, `--var` for the 4-cycle-DL1 variant, or
+// `--cores/--lbus` for a scaled platform. The campaign commands are thin
+// shells over the Scenario/Session API (core/scenario.h,
+// core/session.h). Command implementations live here so they are
+// unit-testable without spawning processes.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "core/options.h"
 
 namespace rrb::cli {
 
@@ -42,6 +29,21 @@ namespace rrb::cli {
 /// Returns a process exit code.
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err);
+
+/// A command and its parsed flags and positional arguments.
+struct CommandLine {
+    std::string_view command;
+    OptionValues options;
+};
+
+/// The parse-only front half of run(): resolves the command and parses
+/// its flags. Throws std::invalid_argument naming the culprit; runs
+/// nothing.
+[[nodiscard]] CommandLine parse_command_line(
+    const std::vector<std::string>& args);
+
+/// The name of the command whose cmd:: bit is `bit`; empty if none.
+[[nodiscard]] std::string_view command_name(std::uint32_t bit);
 
 /// Renders the usage text.
 [[nodiscard]] std::string usage();

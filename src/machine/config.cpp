@@ -1,5 +1,7 @@
 #include "machine/config.h"
 
+#include <string>
+
 #include "sim/contract.h"
 
 namespace rrb {
@@ -73,6 +75,11 @@ std::uint64_t MachineConfig::fingerprint() const {
 
 void MachineConfig::validate() const {
     RRB_REQUIRE(num_cores >= 1, "need at least one core");
+    RRB_REQUIRE(num_cores <= kMaxCores,
+                "at most " + std::to_string(kMaxCores) + " cores");
+    RRB_REQUIRE(load_hit_service() <= kMaxLbus,
+                "lbus must be at most " + std::to_string(kMaxLbus) +
+                    " cycles");
     core.validate();
     l2_geometry.validate();
     RRB_REQUIRE(l2_geometry.ways % num_cores == 0,
@@ -112,6 +119,8 @@ MachineConfig MachineConfig::ngmp_var() {
 
 void MachineConfig::retime_bus(Cycle lbus) {
     RRB_REQUIRE(lbus >= 2, "lbus must cover transfer + L2 hit");
+    RRB_REQUIRE(lbus <= kMaxLbus, "lbus must be at most " +
+                                      std::to_string(kMaxLbus) + " cycles");
     bus_transfer_cycles = 1;
     l2_hit_cycles = lbus - 1;
     store_service_cycles = lbus;

@@ -12,6 +12,15 @@
 
 namespace rrb {
 
+/// Platform limits on outside input (command-line flags, batch specs),
+/// enforced by MachineConfig::validate. A scaled platform gives each core
+/// a 64 KiB L2 way, so kMaxCores bounds one machine's L2 at 4 MiB; with
+/// lbus capped too, Equation 1's (Nc - 1) * lbus stays below 2^22 and
+/// every `now + duration` cycle sum stays far from 2^64.
+inline constexpr CoreId kMaxCores = 64;
+/// Longest bus occupancy of one L2 load hit, in cycles (the paper's lbus).
+inline constexpr Cycle kMaxLbus = 65'536;
+
 struct MachineConfig {
     CoreId num_cores = 4;
     CoreConfig core;

@@ -15,16 +15,12 @@
 //   runs = 400
 //   exceedance = 1e-3,1e-6
 //
-// Keys per scenario (all optional): cores, lbus (together select the
-// scaled platform, defaults 4 / 9 — exactly `pwcet --cores/--lbus`),
-// var (true = NGMP variant when neither cores nor lbus is set),
-// arbiter (rr|tdma|wrr|fixed), iterations (default 40), runs (default
-// 40 blocks), seed (default 1), block-size (default 50), exceedance
-// (comma-separated probabilities in (0,1)), max-start-delay (cycles).
-//
-// Materialization mirrors the pwcet command's flag handling key for
-// key: a spec entry and the equivalent `rrbtool pwcet` invocation
-// build the *same scenario fingerprint*, so a batch checkpoint merges
+// Keys per scenario (all optional) are the `key` rows of the option
+// table (src/core/options.h), which also gives their value kinds, ranges
+// and defaults; `rrbtool help` lists them. Each scenario is built by
+// build_pwcet_campaign, the function `rrbtool pwcet` builds its
+// campaign with, so a spec entry and the equivalent `rrbtool pwcet`
+// invocation share one scenario fingerprint: a batch checkpoint merges
 // and byte-diffs against a standalone run (CI does exactly that).
 // Scenario names become checkpoint file stems and must be unique and
 // filesystem-safe ([A-Za-z0-9._-]).

@@ -7,9 +7,11 @@
 //   * transactions never overlap in time;
 //   * under round-robin, no request waits longer than
 //     (Nc - 1) * max_duration — Equation 1 as a hard invariant;
-//   * busy-cycle accounting is exact.
+//   * busy-cycle accounting is exact;
+//   * utilization over any prefix [0, now) never exceeds 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -57,6 +59,7 @@ TEST_P(BusFuzz, InvariantsHoldUnderRandomTraffic) {
     std::uint64_t expected_busy = 0;
 
     const Cycle horizon = 20000;
+    double max_utilization = 0.0;
     for (Cycle now = 0; now < horizon; ++now) {
         bus.complete_phase(now);
         // Randomly post new requests on idle cores (leave tail room so
@@ -74,7 +77,12 @@ TEST_P(BusFuzz, InvariantsHoldUnderRandomTraffic) {
             bus.post({c, BusOp::kDataLoad, 0x40u * c, ready, duration, 0});
         }
         bus.arbitrate_phase(now);
+        // A grant charges its whole duration up front; utilization must
+        // count only the cycles that have elapsed.
+        max_utilization =
+            std::max(max_utilization, bus.utilization(now + 1));
     }
+    EXPECT_LE(max_utilization, 1.0);
     const std::vector<Completion>& completions = client.completions;
     const std::uint64_t completed = client.completed;
 
@@ -163,6 +171,11 @@ TEST(BusFuzzStarvation, RoundRobinServesEveryoneUnderSaturation) {
             if (!client.pending[c] && now < 5500) repost(c, now);
         }
         bus.arbitrate_phase(now);
+        // Back-to-back grants from cycle 0: the bus is busy on every
+        // elapsed cycle, mid-transaction included, and never more.
+        if (now < 5500) {
+            ASSERT_EQ(bus.utilization(now + 1), 1.0) << "cycle " << now;
+        }
     }
     const std::uint64_t min_grants =
         *std::min_element(client.grants.begin(), client.grants.end());

@@ -753,19 +753,20 @@ TEST(Cli, RunCountsAboveTheCeilingAreRejectedNamingTheFlag) {
 
 TEST(Cli, ThirtyTwoBitFlagsRejectValuesThatDoNotFitNamingTheFlag) {
     // 2^32 + 1 used to wrap to 1: `contention --cores 4294967297` ran a
-    // single core and reported "bounded: yes".
+    // single core and reported "bounded: yes". The core count now stops
+    // at the platform limit kMaxCores, well below 2^32.
     const std::vector<std::vector<std::string>> cases = {
-        {"contention", "--cores", "4294967297"},
-        {"pwcet", "--cores", "4294967296"},
-        {"estimate", "--kmax", "4294967297"},
-        {"calibrate", "--nop-latency", "4294967296"},
+        {"contention", "--cores", "4294967297", "64"},
+        {"pwcet", "--cores", "4294967296", "64"},
+        {"estimate", "--kmax", "4294967297", "4294967295"},
+        {"calibrate", "--nop-latency", "4294967296", "4294967295"},
     };
-    for (const std::vector<std::string>& args : cases) {
-        const CliResult r = invoke(args);
-        EXPECT_EQ(r.code, 1) << args[0] << " " << args[1];
-        EXPECT_NE(r.err.find(args[1] + " must be at most 4294967295"),
+    for (const std::vector<std::string>& c : cases) {
+        const CliResult r = invoke({c[0], c[1], c[2]});
+        EXPECT_EQ(r.code, 1) << c[0] << " " << c[1];
+        EXPECT_NE(r.err.find(c[1] + " must be at most " + c[3]),
                   std::string::npos)
-            << args[0] << ": " << r.err;
+            << c[0] << ": " << r.err;
         EXPECT_EQ(r.out.find("bounded"), std::string::npos) << r.out;
     }
 }

@@ -300,9 +300,9 @@ TEST(BatchSpec, ParsesAndMaterializesLikeTheCli) {
     EXPECT_EQ(items[0].scenario.run_protocol().runs, 600u);
     EXPECT_EQ(items[0].scenario.run_protocol().seed, 7u);
     EXPECT_EQ(items[0].spec.block_size, 30u);
-    // Materialization mirrors `pwcet` flag handling key for key — the
-    // fingerprints must match what the CLI would build, or batch
-    // checkpoints stop merging against standalone runs.
+    // A spec scenario is built by the function `pwcet` builds its
+    // campaign with — the fingerprints must match what the CLI would
+    // build, or batch checkpoints stop merging against standalone runs.
     const Scenario cli_equivalent =
         Scenario::on(MachineConfig::ngmp_ref())
             .scua(make_autobench(Autobench::kCacheb, 0x0100'0000, 40, 9))
@@ -331,6 +331,21 @@ TEST(BatchSpec, DefaultsMatchThePwcetCommand) {
     EXPECT_EQ(items[0].scenario.run_protocol().seed, 1u);
     EXPECT_EQ(items[0].scenario.config().fingerprint(),
               MachineConfig::ngmp_ref().fingerprint());
+}
+
+TEST(BatchSpec, CoreCountThatWouldWrapNamesKeyAndLine) {
+    // 4294967298 used to wrap to 2 on its way into CoreId and run a
+    // 2-core campaign; the option table's range stops it at kMaxCores.
+    try {
+        (void)sched::parse_batch_spec(
+            "[scenario a]\nruns = 20\ncores = 4294967298\n");
+        FAIL() << "a wrapping core count parsed";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "batch spec line 3: cores must be at most 64"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(BatchSpec, RejectsMalformedInput) {
